@@ -41,17 +41,16 @@ import time
 
 import numpy as np
 
+import repro
 from repro.core import RmaConfig
 from repro.data.synthetic import uniform_relation
 from repro.linalg.policy import BackendPolicy
-from repro.plan.lazy import scan
 from repro.relational.relation import Relation
-from repro.sql import Session
 
 try:
-    from benchmarks.bench_util import relations_identical
+    from benchmarks.bench_util import elementwise_chain, relations_identical
 except ImportError:  # script mode: benchmarks/ itself is on sys.path
-    from bench_util import relations_identical
+    from bench_util import elementwise_chain, relations_identical
 
 N_CHAIN_ROWS = 100_000
 N_CHAIN_COLS = 4
@@ -90,16 +89,6 @@ def build_inputs(n_chain: int = N_CHAIN_ROWS, n_gram: int = N_GRAM_ROWS):
     return leaves, gram
 
 
-def chain_pipeline(leaves: list[Relation]):
-    """emu(sub(add(y1,y2), y3), y4): a 3-step element-wise chain."""
-    pipe = scan(leaves[0]).rma("add", by="k0", other=scan(leaves[1]),
-                               other_by="k1")
-    pipe = pipe.rma("sub", by=("k0", "k1"), other=scan(leaves[2]),
-                    other_by="k2")
-    return pipe.rma("emu", by=("k0", "k1", "k2"), other=scan(leaves[3]),
-                    other_by="k3")
-
-
 def run_chain(fused: bool, leaves: list[Relation],
               repeats: int = CHAIN_REPEATS):
     """Time ``repeats`` executions of the chain; returns (seconds, result)."""
@@ -107,7 +96,7 @@ def run_chain(fused: bool, leaves: list[Relation],
     result = None
     start = time.perf_counter()
     for _ in range(repeats):
-        result = chain_pipeline(leaves).collect(config=config)
+        result = elementwise_chain(leaves).collect(config=config)
     return time.perf_counter() - start, result
 
 
@@ -116,7 +105,7 @@ def run_statements(cached: bool, gram: Relation,
     """Time ``repeats`` executions of the same statement in one session."""
     config = RmaConfig(policy=BackendPolicy(prefer="mkl"),
                        validate_keys=False)
-    session = Session(config=config, plan_cache=cached)
+    session = repro.connect(config=config, plan_cache=cached)
     session.register("g", gram)
     result = None
     start = time.perf_counter()

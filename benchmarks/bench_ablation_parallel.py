@@ -46,13 +46,12 @@ from repro.core.config import ParallelConfig
 from repro.core.ops import execute_rma, prepare_stage
 from repro.linalg.policy import BackendPolicy
 from repro.opspec import spec_of
-from repro.plan.lazy import scan
 from repro.relational.relation import Relation
 
 try:
-    from benchmarks.bench_util import relations_identical
+    from benchmarks.bench_util import elementwise_chain, relations_identical
 except ImportError:  # script mode: benchmarks/ itself is on sys.path
-    from bench_util import relations_identical
+    from bench_util import elementwise_chain, relations_identical
 
 N_CHAIN_ROWS = 1_000_000
 N_CHAIN_COLS = 4
@@ -105,22 +104,13 @@ def build_chain_inputs(n_rows: int = N_CHAIN_ROWS) -> list[Relation]:
     return [_chain_relation(n_rows, i, seed=90 + i) for i in range(4)]
 
 
-def chain_pipeline(leaves: list[Relation]):
-    pipe = scan(leaves[0]).rma("add", by="k0", other=scan(leaves[1]),
-                               other_by="k1")
-    pipe = pipe.rma("sub", by=("k0", "k1"), other=scan(leaves[2]),
-                    other_by="k2")
-    return pipe.rma("emu", by=("k0", "k1", "k2"), other=scan(leaves[3]),
-                    other_by="k3")
-
-
 def run_chain(parallel_on: bool, leaves: list[Relation],
               repeats: int = CHAIN_REPEATS, workers: int = 0):
     config = _config(parallel_on, workers)
     result = None
     start = time.perf_counter()
     for _ in range(repeats):
-        result = chain_pipeline(leaves).collect(config=config)
+        result = elementwise_chain(leaves).collect(config=config)
     return time.perf_counter() - start, result
 
 

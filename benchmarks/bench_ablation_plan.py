@@ -1,12 +1,14 @@
 """Ablation — shared plan layer: CSE + warm order propagation (ISSUE 2).
 
-Two access patterns the plan layer optimizes, run as lazy pipelines:
+Two access patterns the plan layer optimizes, run as Matrix expressions
+on a database without plan or result cache:
 
 * **Repeated subexpression** (CSE): the conditioning-check chain
   ``MMU(MMU(INV(CPD(a,a)), CPD(a,a)), INV(CPD(a,a)))`` contains the
   expensive Gram product ``CPD(a,a)`` three times and its inverse twice.
   With CSE the executor memoizes structurally identical subplans, so each
-  runs once; the baseline recomputes every occurrence.
+  runs once; the baseline (an ``Executor`` with ``cse=False`` on the same
+  optimized plan) recomputes every occurrence.
 
 * **Chained element-wise operations over derived relations** (warm order):
   ``add(add(add(y1,y2), y3), y4)`` — every intermediate result used to
@@ -37,13 +39,20 @@ import numpy as np
 from repro.core import RmaConfig
 from repro.data.synthetic import uniform_relation
 from repro.linalg.policy import BackendPolicy
-from repro.plan.lazy import scan
 from repro.relational.relation import Relation
 
 try:
-    from benchmarks.bench_util import relations_identical
+    from benchmarks.bench_util import (
+        collect_without_cse,
+        relations_identical,
+        uncached_matrices,
+    )
 except ImportError:  # script mode: benchmarks/ itself is on sys.path
-    from bench_util import relations_identical
+    from bench_util import (
+        collect_without_cse,
+        relations_identical,
+        uncached_matrices,
+    )
 
 N_GRAM_ROWS = 40_000
 N_GRAM_COLS = 32
@@ -92,22 +101,17 @@ def build_inputs(n_gram: int = N_GRAM_ROWS, n_chain: int = N_CHAIN_ROWS):
 def gram_pipeline(gram: Relation):
     """MMU(MMU(INV(CPD(a,a)), CPD(a,a)), INV(CPD(a,a))) — one root,
     CPD(a,a) x3 and INV x2 as repeated subplans."""
-    a = scan(gram, name="a")
-    xtx = a.rma("cpd", by="id", other=a, other_by="id")
-    inv_xtx = xtx.rma("inv", by="C")
-    inner = inv_xtx.rma("mmu", by="C", other=xtx, other_by="C")
-    return inner.rma("mmu", by="C", other=inv_xtx, other_by="C")
+    (a,) = uncached_matrices([gram])
+    xtx = a.cpd(a)
+    inv_xtx = xtx.inv()
+    return (inv_xtx @ xtx) @ inv_xtx
 
 
 def chain_pipeline(years: list[Relation]):
     """add(add(add(y1,y2), y3), y4): each step consumes a derived relation
     and orders it by its full (grown) order schema."""
-    pipe = scan(years[0]).rma("add", by="k0", other=scan(years[1]),
-                              other_by="k1")
-    pipe = pipe.rma("add", by=("k0", "k1"), other=scan(years[2]),
-                    other_by="k2")
-    return pipe.rma("add", by=("k0", "k1", "k2"), other=scan(years[3]),
-                    other_by="k3")
+    m = uncached_matrices(years)
+    return m[0] + m[1] + m[2] + m[3]
 
 
 def run_scenario(optimized: bool, gram: Relation, years: list[Relation],
@@ -115,14 +119,17 @@ def run_scenario(optimized: bool, gram: Relation, years: list[Relation],
     """Time ``repeats`` executions of both pipelines; returns
     (seconds, (gram result, chain result))."""
     config = _config(optimized)
+
+    def collect(expr):
+        if optimized:
+            return expr.collect(config=config)
+        return collect_without_cse(expr, config)
+
     results = None
     start = time.perf_counter()
     for _ in range(repeats):
-        gram_result = gram_pipeline(gram).collect(config=config,
-                                                  cse=optimized)
-        chain_result = chain_pipeline(years).collect(config=config,
-                                                     cse=optimized)
-        results = (gram_result, chain_result)
+        results = (collect(gram_pipeline(gram)),
+                   collect(chain_pipeline(years)))
     elapsed = time.perf_counter() - start
     return elapsed, results
 

@@ -38,8 +38,13 @@ morsel-parallel engine):
    >>> repro.rma.inv(rating, by="User")
 
 All three produce bit-identical relations; the expression and SQL surfaces
-additionally optimize whole chains.  ``Session`` (the pre-redesign SQL
-entry point) remains as a deprecated alias of :class:`Database`.
+additionally optimize whole chains.  Matrix handles also carry the
+relational verbs (``filter``, ``select``, ``join``, ``sort``, ``limit``,
+``distinct``, with the ``repro.plan.col`` expression DSL), so relational
+steps around the algebra stay in the same plan:
+
+>>> from repro.plan import col
+>>> m.inv().filter(col("Balto") > 0.0).collect()
 
 Subpackages: :mod:`repro.api` (the expression API), :mod:`repro.bat`
 (column store), :mod:`repro.relational` (relational algebra),
@@ -55,7 +60,6 @@ from repro import core as rma
 from repro.core import RmaConfig
 from repro.core.config import ParallelConfig
 from repro.relational.relation import Relation
-from repro.sql.session import Session  # deprecated alias of Database
 
 __version__ = "2.0.0"
 
@@ -67,6 +71,5 @@ __all__ = [
     "RmaConfig",
     "ParallelConfig",
     "rma",
-    "Session",
     "__version__",
 ]

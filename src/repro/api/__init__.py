@@ -13,8 +13,9 @@ overloading:
 >>> v = db.matrix(target, by="trip_id")
 >>> beta = (a.cpd(a).inv() @ a.cpd(v)).collect()
 
-Everything — Matrix expressions, SQL statements, lazy relational
-pipelines, and even the module-level eager functions ``repro.rma.*`` —
+Everything — Matrix expressions and their relational verbs (``filter``,
+``select``, ``join``, ...), SQL statements, and even the module-level
+eager functions ``repro.rma.*`` —
 compiles into the one shared plan IR (:mod:`repro.plan.nodes`) and runs on
 the one shared executor, so chained user code gets element-wise kernel
 fusion, cross-statement common-subexpression caching and morsel-parallel

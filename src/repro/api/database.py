@@ -5,17 +5,16 @@ compiles into the shared plan IR (:mod:`repro.plan.nodes`) and executes on
 the shared executor (:mod:`repro.plan.physical`):
 
 * :meth:`Database.matrix` returns a lazy :class:`~repro.api.matrix.Matrix`
-  expression handle (operator overloading + one method per Table 2
-  operation) — chained eager-style code gets element-wise fusion, CSE, the
-  byte-budget plan/result cache and the morsel-parallel engine for free;
+  expression handle (operator overloading, one method per Table 2
+  operation, and the relational verbs ``filter``/``select``/``join``/
+  ``sort``/``limit``/``distinct``) — chained code gets element-wise
+  fusion, CSE, the byte-budget plan/result cache and the morsel-parallel
+  engine for free;
 * :meth:`Database.execute` runs SQL statements (the paper's §7.2 front
-  end), sharing the same statement-plan and subplan-result caches;
-* :func:`repro.plan.lazy.scan` pipelines can join in through
-  ``collect(cache=db.result_cache)`` or ``Matrix.to_lazy()``.
+  end), sharing the same statement-plan and subplan-result caches.
 
-It supersedes :class:`repro.sql.session.Session`, which remains a thin
-compatibility subclass.  A database owns three session-scoped caches, all
-invalidated precisely (catalog table versions + config cache tokens):
+A database owns three session-scoped caches, all invalidated precisely
+(catalog table versions + config cache tokens):
 
 * a **parse cache** (SQL text -> statement AST — parsing is pure);
 * a **plan cache** (SQL ``SELECT`` AST *or* expression plan node ->
@@ -57,7 +56,7 @@ from repro.plan.physical import (
     PhysicalInfo,
     plan_physical,
 )
-from repro.api.matrix import Matrix
+from repro.api.matrix import Matrix, _require_names
 from repro.relational.relation import Relation
 from repro.relational.ops import union_all
 from repro.sql import ast
@@ -234,7 +233,6 @@ class Database:
         the attributes whose values identify rows; the remaining
         (numeric) attributes form the matrix the operations apply to.
         """
-        from repro.plan.lazy import default_alias
         if isinstance(source, Matrix):
             if name is not None:
                 raise PlanError(
@@ -256,17 +254,13 @@ class Database:
             plan: nodes.Plan = nodes.Scan(source, name or source)
         elif isinstance(source, Relation):
             relation = source
-            plan = nodes.RelScan(source, name or default_alias(source))
+            plan = nodes.RelScan(source,
+                                 name or nodes.default_alias(source))
         else:
             raise PlanError(
                 "matrix expects a table name, a Relation or a Matrix, "
                 f"got {type(source).__name__}")
-        missing = [n for n in names if n not in relation.schema]
-        if missing:
-            from repro.errors import OrderSchemaError
-            raise OrderSchemaError(
-                f"order attribute(s) {', '.join(map(repr, missing))} not "
-                f"in schema ({', '.join(relation.names)})")
+        _require_names(names, relation.names)
         app = tuple(n for n in relation.names if n not in names)
         return Matrix(self, plan, names, app)
 

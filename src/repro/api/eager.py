@@ -3,8 +3,8 @@
 The public eager functions of :mod:`repro.core.algebra` (``rma.add``,
 ``rma.inv``, ...) are thin adapters over this module: each call builds a
 one-operation expression over the shared plan IR and collects it
-immediately on the shared executor — the same path SQL statements, lazy
-pipelines and :class:`~repro.api.matrix.Matrix` expressions take.  One
+immediately on the shared executor — the same path SQL statements and
+:class:`~repro.api.matrix.Matrix` expressions take.  One
 front door, even for single operations.
 
 A one-op plan has nothing for the optimizer to rewrite (fusion needs at
@@ -56,16 +56,15 @@ def eager_rma(name: str, r: Relation, by: "str | Sequence[str]",
     un-iterable order schema) fall through to :func:`execute_rma` directly
     so the error type and message stay exactly the pre-redesign ones.
     """
-    from repro.plan.lazy import default_alias
     bys = [_by_tuple(by)]
     if (s is None) != (s_by is None) or bys[0] is None:
         return execute_rma(name, r, by, s, s_by, config, scalar=scalar)
-    inputs = [nodes.RelScan(r, default_alias(r))]
+    inputs = [nodes.RelScan(r, nodes.default_alias(r))]
     if s is not None:
         s_names = _by_tuple(s_by)
         if s_names is None:
             return execute_rma(name, r, by, s, s_by, config, scalar=scalar)
-        inputs.append(nodes.RelScan(s, default_alias(s)))
+        inputs.append(nodes.RelScan(s, nodes.default_alias(s)))
         bys.append(s_names)
     plan = nodes.Rma(name.lower(), tuple(inputs), tuple(bys), None, scalar)
     executor = Executor(_EAGER_CATALOG, config)

@@ -12,11 +12,16 @@ created by :meth:`repro.api.database.Database.matrix` and compose through
 * **named methods** — one per Table 2 operation and scalar variant,
   generated from the declarative op table (:mod:`repro.opspec`):
   ``a.inv()``, ``a.qqr()``, ``a.sol(rhs)``, ``a.cpd(b)``, ``a.smul(2.0)``,
-  ...
+  ...;
+* **relational verbs** — ``filter``, ``select``, ``join``, ``sort``,
+  ``limit`` and ``distinct``, taking the :mod:`repro.plan.expr` DSL
+  (``a.inv().filter(col("x0") > 0.0)``).  The paper's algebra is closed:
+  relations in, relations out, so the relational steps around the matrix
+  operations stay in the same plan.
 
 Nothing executes until :meth:`Matrix.collect`.  Every composition step
 builds a node of the shared plan IR (:mod:`repro.plan.nodes`) — the same IR
-the SQL session and the lazy builder compile into — so a chained
+the SQL front end compiles into — so a chained
 "eager-looking" expression gets the whole plan stack for free: element-wise
 fusion into one kernel pass (:class:`~repro.plan.nodes.FusedRma`),
 common-subexpression elimination, the session's byte-budget plan/result
@@ -35,15 +40,16 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.api import inference
 from repro.core.config import RmaConfig
-from repro.errors import PlanError
+from repro.errors import OrderSchemaError, PlanError
 from repro.opspec import OPS, SCALAR_OPS, spec_of
 from repro.plan import nodes
 from repro.plan.build import build_rma
+from repro.plan.expr import Col, as_expr
 from repro.relational.relation import Relation
+from repro.sql import ast
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.database import Database
-    from repro.plan.lazy import LazyFrame
 
 
 class Matrix:
@@ -171,7 +177,7 @@ class Matrix:
         if self._app is None:
             raise PlanError(
                 "narrow: application schema is data-dependent; project "
-                "the relation explicitly (to_lazy().select(...))")
+                "the relation explicitly (.select(...))")
         keep = self._parts[0] + self._app
         plan = nodes.Prune(self._plan, keep)
         return Matrix(self._db, plan, self._parts[0], self._app,
@@ -193,16 +199,80 @@ class Matrix:
             # — surface it here, at the call site, like Database.matrix
             # does for plain relations.  Data-dependent schemas (app is
             # None) can only be checked at execution time.
-            known = set(self._by) | set(self._app)
-            missing = [n for n in names if n not in known]
-            if missing:
-                from repro.errors import OrderSchemaError
-                raise OrderSchemaError(
-                    f"order attribute(s) {', '.join(map(repr, missing))} "
-                    f"not in schema ({', '.join(self._by + self._app)})")
+            _require_names(names, self._by + self._app)
             app = tuple(n for n in self._by + self._app
                         if n not in names)
         return Matrix(self._db, self._plan, names, app, (names,))
+
+    # -- relational verbs ---------------------------------------------------
+
+    def _rows(self, plan: nodes.Plan) -> "Matrix":
+        """A handle over a row-only verb's plan: the columns, hence the
+        order and application schemas, are this handle's."""
+        return Matrix(self._db, plan, self._by, self._app, self._parts)
+
+    def filter(self, predicate: "Col | ast.Expr") -> "Matrix":
+        """Keep the rows satisfying ``predicate`` (``col("v") > 0.0``)."""
+        return self._rows(nodes.Filter(self._plan, as_expr(predicate)))
+
+    def sort(self, *names: str, descending: bool = False) -> "Matrix":
+        """Order the rows by the named columns."""
+        items = tuple(ast.OrderItem(ast.ColumnRef(n), descending)
+                      for n in names)
+        return self._rows(nodes.Sort(self._plan, items))
+
+    def limit(self, count: int, offset: int = 0) -> "Matrix":
+        """Keep ``count`` rows, skipping the first ``offset``."""
+        return self._rows(nodes.Limit(self._plan, count, offset))
+
+    def distinct(self) -> "Matrix":
+        """Drop duplicate rows."""
+        return self._rows(nodes.Distinct(self._plan))
+
+    def select(self, *items: "str | Col | ast.Expr") -> "Matrix":
+        """Project expressions; strings select columns by name.
+
+        The order schema must survive the projection — its attributes
+        identify the rows the next matrix operation aligns on — so a
+        projection dropping one raises :class:`OrderSchemaError` here, at
+        the call.  The projected names become the application schema.
+        """
+        select_items = tuple(_select_item(item) for item in items)
+        names = tuple(item.alias or nodes.default_output_name(item.expr, i)
+                      for i, item in enumerate(select_items))
+        _require_names(self._by, names)
+        app = tuple(n for n in names if n not in self._by)
+        return Matrix(self._db, nodes.Project(self._plan, select_items),
+                      self._by, app, self._parts)
+
+    def join(self, other: "Matrix | Relation", on: "Col | ast.Expr",
+             how: str = "inner") -> "Matrix":
+        """Join on an expression; qualify column references with the scan
+        names given to :meth:`Database.matrix` (``name=``).
+
+        The result keeps this handle's order schema (a join keeps every
+        left column); the right side's columns join the application
+        schema.
+        """
+        if isinstance(other, Matrix):
+            if other._db is not self._db:
+                raise PlanError(
+                    "join: operands belong to different databases")
+            right = other._plan
+            right_names = (other._by + other._app
+                           if other._app is not None else None)
+        elif isinstance(other, Relation):
+            right = nodes.RelScan(other, nodes.default_alias(other))
+            right_names = tuple(other.names)
+        else:
+            raise PlanError(
+                "join: expected a Matrix or Relation operand, got "
+                f"{type(other).__name__}")
+        app = (self._app + right_names
+               if self._app is not None and right_names is not None
+               else None)
+        plan = nodes.JoinPlan(how, self._plan, right, as_expr(on))
+        return Matrix(self._db, plan, self._by, app, self._parts)
 
     # -- operator overloading ----------------------------------------------
 
@@ -285,15 +355,24 @@ class Matrix:
         """
         return self._db._explain_expression(self._plan, config, overrides)
 
-    def to_lazy(self) -> "LazyFrame":
-        """Bridge into the relational pipeline API (:mod:`repro.plan.lazy`)
-        for filters, joins, projections and aggregation over this
-        expression's result — same plan, same executor.  The frame stays
-        bound to this database: it plans against its catalog (named-table
-        leaves resolve) and its ``collect``/``explain`` default to the
-        session configuration and result cache."""
-        from repro.plan.lazy import LazyFrame
-        return LazyFrame(self._plan, session=self._db)
+
+def _require_names(names: Sequence[str],
+                   schema: Sequence[str]) -> None:
+    """Raise :class:`OrderSchemaError` unless every order attribute in
+    ``names`` is part of ``schema``."""
+    missing = [n for n in names if n not in schema]
+    if missing:
+        raise OrderSchemaError(
+            f"order attribute(s) {', '.join(map(repr, missing))} "
+            f"not in schema ({', '.join(schema)})")
+
+
+def _select_item(item: "str | Col | ast.Expr") -> ast.SelectItem:
+    if isinstance(item, str):
+        return ast.SelectItem(ast.ColumnRef(item), None)
+    if isinstance(item, Col):
+        return ast.SelectItem(item.expr, item.out_name)
+    return ast.SelectItem(item, None)
 
 
 def _result_parts(spec, parts1, parts2=None):

@@ -8,7 +8,7 @@ layer, shared by both front ends:
 
     SQL text ──parse──> AST ──build_select──┐
                                             ├──> logical plan (plan.nodes)
-    Python  ──repro.plan.lazy (LazyFrame) ──┘          │
+    Python  ──repro.api.matrix (Matrix) ────┘          │
                                                        ▼
                                          logical optimizer (plan.optimizer)
                                           pushdown / join rewrite / pruning
@@ -40,8 +40,8 @@ Module map
 ``optimizer``
     Semantics-preserving logical rewrites (predicate pushdown,
     cross-to-inner join conversion, projection pruning, element-wise
-    fusion) — moved here from ``repro.sql`` so lazy pipelines get the
-    same rewrites as SQL text.  The fusion rule collapses chains of
+    fusion) — moved here from ``repro.sql`` so Matrix expressions get
+    the same rewrites as SQL text.  The fusion rule collapses chains of
     relative-class operations (``add``/``sub``/``emu`` and the scalar
     variants ``sadd``/``ssub``/``smul``) into one ``FusedRma`` node when
     each parent orders its input by exactly the order part the child
@@ -77,22 +77,21 @@ Module map
     The session-scoped plan/result cache: canonical subplan -> result
     relation, stamped with per-table catalog versions so
     ``CREATE``/``INSERT``/``register``/``DROP`` invalidate exactly the
-    affected entries.  Owned by :class:`repro.sql.session.Session`
-    (result + statement-plan caches) and shareable across lazy
-    ``collect(cache=...)`` calls.
+    affected entries.  Owned by :class:`repro.api.database.Database`
+    (result + statement-plan caches) and shareable across databases
+    (``connect(plan_cache=shared)``).
 
-``lazy``
-    The Python builder front end: ``scan(rel).rma("mmu", ...).filter(...)
-    .collect()``, with a small ``col``/``lit`` expression DSL.
+``expr``
+    The ``col``/``lit`` expression DSL taken by the relational verbs of
+    :class:`repro.api.matrix.Matrix` (``filter``, ``select``, ``join``).
 
 ``explain``
-    Plan pretty-printer used by ``LazyFrame.explain()`` and the SQL
+    Plan pretty-printer used by ``Matrix.explain()`` and the SQL
     ``EXPLAIN`` statement, including the physical annotations (fused
     nodes print their member operations).
 
-The SQL package (:mod:`repro.sql`) is now a thin front end: lexer, parser,
-AST and the session; its ``logical``/``optimizer``/``executor`` modules
-are pure re-exports of this package kept for backwards compatibility.
+The SQL package (:mod:`repro.sql`) is a thin front end: lexer, parser
+and AST; statements execute on :class:`repro.api.database.Database`.
 
 Ablations: ``benchmarks/bench_ablation_plan.py`` measures CSE +
 warm-order propagation (baseline ``BENCH_plan.json``);
@@ -104,7 +103,7 @@ from repro.plan import nodes
 from repro.plan.build import build_select, build_table_expr
 from repro.plan.cache import PlanCache, catalog_stamps
 from repro.plan.explain import explain_lines, format_plan
-from repro.plan.lazy import Col, LazyFrame, col, lit, scan
+from repro.plan.expr import Col, col, lit
 from repro.plan.optimizer import Optimizer, optimize
 from repro.plan.physical import (
     Executor,
@@ -115,7 +114,7 @@ from repro.plan.physical import (
 
 __all__ = [
     "nodes",
-    "scan", "col", "lit", "Col", "LazyFrame",
+    "col", "lit", "Col",
     "build_select", "build_table_expr",
     "optimize", "Optimizer",
     "Executor", "Frame", "PhysicalInfo", "plan_physical",

@@ -3,11 +3,10 @@
 This is the front ends' half of the plan layer: ``build_select`` translates
 a parsed ``SELECT`` statement (:mod:`repro.sql.ast`) into the shared IR of
 :mod:`repro.plan.nodes`, and ``build_rma`` is the one validated constructor
-of :class:`~repro.plan.nodes.Rma` nodes that every Python surface uses (the
-lazy builder :mod:`repro.plan.lazy` and the matrix-expression API
-:mod:`repro.api.matrix`).  It lives in the plan package — not in
-``repro.sql`` — so the IR and everything that produces it have one home;
-``repro.sql.logical`` re-exports these names for backwards compatibility.
+of :class:`~repro.plan.nodes.Rma` nodes that the Python surface (the
+matrix-expression API :mod:`repro.api.matrix`) uses.  It lives in the plan
+package — not in ``repro.sql`` — so the IR and everything that produces it
+have one home.
 """
 
 from __future__ import annotations
@@ -60,9 +59,7 @@ def build_rma(op: str, inputs: tuple[Plan, ...],
 
     Checks arity against the operation spec, normalizes the order schemas,
     and enforces the scalar-variant contract (``sadd``/``ssub``/``smul``
-    require a constant, Table 2 operations reject one).  Shared by the
-    lazy builder and the matrix-expression API so the two front ends can
-    never drift in what they accept.
+    require a constant, Table 2 operations reject one).
     """
     name = op.lower()
     spec = spec_of(name)

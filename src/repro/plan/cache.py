@@ -21,9 +21,9 @@ they were computed under: results can depend on configuration (e.g. the
 backend policy), so a session that swaps — or mutates — its config never
 sees a result computed under different settings.
 
-Both front ends use the cache: :class:`repro.sql.session.Session` owns one
-per session, and the lazy builder accepts one via
-``LazyFrame.collect(cache=...)``.
+Both front ends use the cache: each :class:`repro.api.database.Database`
+owns one, shared by its SQL statements and Matrix expressions, and
+``connect(plan_cache=cache)`` shares one across databases.
 """
 
 from __future__ import annotations
@@ -248,8 +248,7 @@ class PlanCache:
     def _valid(entry: _Entry, catalog: Catalog) -> bool:
         """Whether the stamped table versions still hold.  Entries without
         stamps (pure ``RelScan`` plans — relations compared by identity)
-        are catalog-independent, which is what lets lazy
-        ``collect(cache=...)`` calls share a cache across their per-call
-        catalogs."""
+        are catalog-independent, which is what lets databases with
+        different catalogs share one cache (``connect(plan_cache=...)``)."""
         return all(catalog.table_version(name) == version
                    for name, version in entry.stamps)

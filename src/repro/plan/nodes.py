@@ -1,8 +1,8 @@
 """Shared logical plan IR — nodes and expression analysis.
 
-Every front end (the SQL parser in :mod:`repro.sql` and the lazy builder in
-:mod:`repro.plan.lazy`) compiles into the node types below; the optimizer
-(:mod:`repro.plan.optimizer`), the physical planner and executor
+Every front end (the SQL parser in :mod:`repro.sql` and the Matrix
+expression API in :mod:`repro.api`) compiles into the node types below; the
+optimizer (:mod:`repro.plan.optimizer`), the physical planner and executor
 (:mod:`repro.plan.physical`) and the plan printer (:mod:`repro.plan.explain`)
 all operate on this one representation.
 
@@ -75,7 +75,7 @@ class Scan(Plan):
 
 @plan_node
 class RelScan(Plan):
-    """Scan of an in-memory relation (the lazy builder's leaf).
+    """Scan of an in-memory relation (the Python surface's leaf).
 
     The relation is compared by identity (``Relation`` does not define value
     equality), so two scans of the same relation object are equal nodes and
@@ -84,6 +84,18 @@ class RelScan(Plan):
 
     relation: "Relation"
     alias: str
+
+
+def default_alias(relation: "Relation") -> str:
+    """A stable ``RelScan`` alias per relation *object*.
+
+    Two scans of the same relation build equal ``RelScan`` nodes, so
+    repeated subplans stay recognizable for CSE — across ``db.matrix``
+    handles and the eager ``repro.rma.*`` functions alike.  The id cannot
+    collide between two live relations, and node equality compares the
+    relation itself as well, so a recycled id is harmless.
+    """
+    return f"_rel{id(relation):x}"
 
 
 @plan_node

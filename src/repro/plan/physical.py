@@ -20,8 +20,8 @@ Two layers live here:
 * :class:`Executor` — evaluates logical plans against a catalog, one
   method per node type, producing :class:`Frame` objects (a relation plus
   name-resolution bindings).  Both front ends run through it: the SQL
-  session compiles AST -> plan and the lazy builder
-  (:mod:`repro.plan.lazy`) constructs plans directly.
+  session compiles AST -> plan and the Matrix expression API
+  (:mod:`repro.api.matrix`) constructs plans directly.
 
 Because relations are immutable, the memoized CSE results share their
 per-relation order caches across uses, and ``Frame.to_plain_relation``

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.api import connect
 from repro.baselines.aida import AidaTable
 from repro.baselines.madlib import MadlibDatabase, matrix_add
 from repro.baselines.rlike import RFrame, as_matrix, matrix_to_frame
 from repro.core import RmaConfig
-from repro.core.ops import execute_rma
 from repro.linalg.policy import BackendPolicy
 from repro.relational.relation import Relation
 from repro.workloads.common import PhaseTimes, WorkloadResult
@@ -40,33 +40,23 @@ def _signature(values: np.ndarray) -> np.ndarray:
     return np.array([values.sum(), np.abs(values).max()])
 
 
-def run_rma(dataset: TripCountDataset, backend: str = "bat",
-            matrix: bool = False) -> WorkloadResult:
-    """RMA+ — the policy's default for add is the no-copy BAT path.
-
-    ``matrix=True`` writes the addition as a matrix expression
-    (``m1 + m2``) on the session API; same plan node, same kernel, same
-    result.
-    """
+def run_rma(dataset: TripCountDataset, backend: str = "bat") \
+        -> WorkloadResult:
+    """RMA+ — the policy's default for add is the no-copy BAT path; the
+    addition is the matrix expression ``m1 + m2``."""
     times = PhaseTimes()
     prefer = "auto" if backend == "bat" else backend
     config = RmaConfig(policy=BackendPolicy(prefer=prefer),
                        validate_keys=False)
     with times.measure("matrix"):
-        if matrix:
-            from repro.api import connect
-            db = connect(config=config)
-            result = (db.matrix(dataset.year1, by=dataset.key1)
-                      + db.matrix(dataset.year2, by=dataset.key2)).collect()
-        else:
-            result = execute_rma("add", dataset.year1, dataset.key1,
-                                 dataset.year2, dataset.key2, config=config)
+        db = connect(config=config)
+        result = (db.matrix(dataset.year1, by=dataset.key1)
+                  + db.matrix(dataset.year2, by=dataset.key2)).collect()
     names = dataset.destination_names
     totals = np.zeros(result.nrows)
     for name in names:
         totals += result.column(name).tail
-    label = ("RMA+BAT" if backend == "bat" else "RMA+MKL") + (
-        "+API" if matrix else "")
+    label = "RMA+BAT" if backend == "bat" else "RMA+MKL"
     return WorkloadResult(label, times, _signature(totals),
                           {"rows": result.nrows})
 
@@ -132,7 +122,6 @@ def run_trip_count(dataset: TripCountDataset, systems: tuple[str, ...] =
     runners = {
         "rma-bat": lambda: run_rma(dataset, "bat"),
         "rma-mkl": lambda: run_rma(dataset, "mkl"),
-        "rma-api": lambda: run_rma(dataset, "bat", matrix=True),
         "aida": lambda: run_aida(dataset),
         "r": lambda: run_r(dataset),
         "madlib": lambda: run_madlib(dataset),

@@ -30,12 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 import repro.relational.ops as rel_ops
+from repro.api import connect
 from repro.baselines.aida import AidaTable
 from repro.baselines.madlib import MadlibDatabase, linregr_train
 from repro.baselines.rlike import RFrame, as_matrix, read_csv_r
 from repro.bat.bat import BAT, DataType, date_to_int
 from repro.core import RmaConfig
-from repro.core.ops import execute_rma
 from repro.data.bixi import station_distance_km
 from repro.linalg.policy import BackendPolicy
 from repro.relational import AggregateSpec, group_by, join, rename, write_csv
@@ -120,78 +120,32 @@ def _ols_inputs(prepared: Relation) -> tuple[Relation, Relation]:
 
 
 def _rma_ols(prepared: Relation, config: RmaConfig) -> np.ndarray:
-    """beta = MMU(INV(CPD(A,A)), CPD(A,V)) as relational matrix ops."""
-    a, v = _ols_inputs(prepared)
-    xtx = execute_rma("cpd", a, "trip_id", a, "trip_id", config=config)
-    xty = execute_rma("cpd", a, "trip_id", v, "trip_id", config=config)
-    xtx_inv = execute_rma("inv", xtx, "C", config=config)
-    beta = execute_rma("mmu", xtx_inv, "C", xty, "C", config=config)
-    return beta.column("duration").tail.copy()
+    """beta = MMU(INV(CPD(A,A)), CPD(A,V)) as one matrix expression.
 
-
-def _rma_ols_lazy(prepared: Relation, config: RmaConfig) -> np.ndarray:
-    """The same OLS pipeline built on the shared plan layer.
-
-    One plan covers the whole ``MMU(INV(CPD(A,A)), CPD(A,V))`` chain, so
-    the executor sees all four operations at once: the order caches of the
-    intermediate relations stay warm across the chain, and repeated
-    subplans would be deduplicated (CSE).  Bit-identical to
-    :func:`_rma_ols` — the workload equivalence test asserts it.
+    ``(a.cpd(a).inv() @ a.cpd(v))`` builds one plan over the whole chain,
+    so the executor sees all four operations at once and the order caches
+    of the intermediate relations stay warm.  Bit-identical to chaining
+    the eager ``repro.rma`` functions (asserted by the workload tests).
     """
-    from repro.plan.lazy import scan
-
     a, v = _ols_inputs(prepared)
-    design = scan(a, name="a")
-    xtx = design.rma("cpd", by="trip_id", other=design, other_by="trip_id")
-    xty = design.rma("cpd", by="trip_id", other=scan(v, name="v"),
-                     other_by="trip_id")
-    beta = (xtx.rma("inv", by="C")
-            .rma("mmu", by="C", other=xty, other_by="C")
-            .collect(config=config))
-    return beta.column("duration").tail.copy()
-
-
-def _rma_ols_matrix(prepared: Relation, config: RmaConfig) -> np.ndarray:
-    """The same OLS as one matrix expression on the session API.
-
-    ``beta = (A'A)^-1 A'v`` reads as linear algebra —
-    ``(a.cpd(a).inv() @ a.cpd(v))`` — and compiles into the exact plan
-    :func:`_rma_ols_lazy` builds, so it inherits warm intermediate order
-    caches and the session's plan/result caches.  Bit-identical to both
-    other styles (asserted by the equivalence tests).
-    """
-    from repro.api import connect
-
-    db = connect(config=config)
-    a, v = _ols_inputs(prepared)
-    design = db.matrix(a, by="trip_id")
+    design = connect(config=config).matrix(a, by="trip_id")
     beta = (design.cpd(design).inv()
             @ design.cpd(v, by="trip_id")).collect()
     return beta.column("duration").tail.copy()
 
 
 def run_rma(dataset: TripsDataset, backend: str = "mkl",
-            validate_keys: bool = False,
-            lazy: bool = False, matrix: bool = False) -> WorkloadResult:
-    """RMA+ with the given kernel backend ('mkl' or 'bat').
-
-    ``lazy=True`` runs the matrix part through the lazy pipeline builder
-    (:mod:`repro.plan.lazy`); ``matrix=True`` through the session-scoped
-    matrix-expression API (:mod:`repro.api`).  Both build the same shared
-    plan instead of eager per-operation execution.
-    """
+            validate_keys: bool = False) -> WorkloadResult:
+    """RMA+ with the given kernel backend ('mkl' or 'bat')."""
     times = PhaseTimes()
     config = RmaConfig(policy=BackendPolicy(prefer=backend),
                        validate_keys=validate_keys)
     with times.measure("prep"):
         prepared = engine_prepare(dataset)
     with times.measure("matrix"):
-        ols = _rma_ols_matrix if matrix else (
-            _rma_ols_lazy if lazy else _rma_ols)
-        beta = ols(prepared, config)
-    label = f"RMA+{backend.upper()}" + (
-        "+API" if matrix else "+PLAN" if lazy else "")
-    return WorkloadResult(label, times, beta, {"rows": prepared.nrows})
+        beta = _rma_ols(prepared, config)
+    return WorkloadResult(f"RMA+{backend.upper()}", times, beta,
+                          {"rows": prepared.nrows})
 
 
 def run_aida(dataset: TripsDataset) -> WorkloadResult:
@@ -320,8 +274,6 @@ def run_trips(dataset: TripsDataset, systems: tuple[str, ...] =
     runners = {
         "rma-mkl": lambda: run_rma(dataset, "mkl"),
         "rma-bat": lambda: run_rma(dataset, "bat"),
-        "rma-plan": lambda: run_rma(dataset, "mkl", lazy=True),
-        "rma-api": lambda: run_rma(dataset, "mkl", matrix=True),
         "aida": lambda: run_aida(dataset),
         "r": lambda: run_r(dataset),
         "madlib": lambda: run_madlib(dataset),

@@ -10,27 +10,13 @@ import numpy as np
 import pytest
 
 import repro
-from repro.bat.bat import DataType
 from repro.core import rma_operation
 from repro.core.config import ParallelConfig, RmaConfig
 from repro.core.ops import execute_rma
 from repro.opspec import OPS, SCALAR_OPS
 from repro.relational.relation import Relation
 
-
-def identical(a: Relation, b: Relation) -> bool:
-    if a.names != b.names:
-        return False
-    for name in a.names:
-        ca, cb = a.column(name), b.column(name)
-        if ca.dtype is not cb.dtype:
-            return False
-        if ca.dtype is DataType.DBL:
-            if not np.array_equal(ca.tail, cb.tail, equal_nan=True):
-                return False
-        elif list(ca.tail) != list(cb.tail):
-            return False
-    return True
+from bitwise import bits, identical
 
 
 def keyed(matrix: np.ndarray, key: str = "key", prefix: str = "x",
@@ -216,16 +202,32 @@ class TestEagerIsThePlanPath:
             repro.rma.rma_operation("nope", rel, "key")
 
 
+OLS_SQL = ("SELECT * FROM MMU(INV(CPD(a BY {k}, a BY {k}) BY C) BY C, "
+           "CPD(a BY {k}, v BY {k}) BY C)")
+
+
+def ols_surfaces(a, v, key, config):
+    """beta = MMU(INV(CPD(A,A)), CPD(A,V)) eagerly, one call per
+    operation, and through SQL on one database."""
+    xtx = repro.rma.cpd(a, key, a, key, config=config)
+    xty = repro.rma.cpd(a, key, v, key, config=config)
+    eager = repro.rma.mmu(repro.rma.inv(xtx, "C", config=config), "C",
+                          xty, "C", config=config)
+    db = repro.connect(config=config)
+    db.register("a", a)
+    db.register("v", v)
+    return eager, db.execute(OLS_SQL.format(k=key))
+
+
 class TestWorkloadsAcrossSurfaces:
-    """The four paper workloads, eager vs matrix-expression API."""
+    """The paper workloads' one Matrix implementation vs eager and SQL."""
 
     def test_trips_olr(self, config):
         from repro.data.bixi import generate_stations, generate_trips
         from repro.workloads.trips_olr import (
             TripsDataset,
+            _ols_inputs,
             _rma_ols,
-            _rma_ols_lazy,
-            _rma_ols_matrix,
             engine_prepare,
         )
         stations = generate_stations(20, seed=1)
@@ -233,9 +235,10 @@ class TestWorkloadsAcrossSurfaces:
         dataset = TripsDataset(trips, stations, 2014, 2017, min_count=5)
         prepared = engine_prepare(dataset)
         cfg = config or RmaConfig()
-        eager = _rma_ols(prepared, cfg)
-        assert np.array_equal(eager, _rma_ols_matrix(prepared, cfg))
-        assert np.array_equal(eager, _rma_ols_lazy(prepared, cfg))
+        eager, via_sql = ols_surfaces(*_ols_inputs(prepared), "trip_id", cfg)
+        assert identical(eager, via_sql)
+        assert np.array_equal(bits(eager.column("duration").tail),
+                              bits(_rma_ols(prepared, cfg)))
 
     def test_journeys_mlr(self, config):
         from repro.data.bixi import (
@@ -245,8 +248,8 @@ class TestWorkloadsAcrossSurfaces:
         from repro.workloads.journeys_mlr import (
             JourneysDataset,
             _design_names,
+            _mlr_inputs,
             _rma_mlr,
-            _rma_mlr_matrix,
             engine_prepare,
         )
         stations = generate_stations(20, seed=1)
@@ -255,31 +258,43 @@ class TestWorkloadsAcrossSurfaces:
         prepared = engine_prepare(dataset)
         names = _design_names(dataset)
         cfg = config or RmaConfig()
-        assert np.array_equal(_rma_mlr(prepared, names, cfg),
-                              _rma_mlr_matrix(prepared, names, cfg))
+        eager, via_sql = ols_surfaces(*_mlr_inputs(prepared, names),
+                                      "journey_id", cfg)
+        assert identical(eager, via_sql)
+        assert np.array_equal(bits(eager.column("y").tail),
+                              bits(_rma_mlr(prepared, names, cfg)))
 
     def test_conferences_cov(self, config):
         from repro.data.dblp import generate_publications, generate_ranking
         from repro.workloads.conferences_cov import (
             ConferencesDataset,
-            run_rma,
+            _center,
         )
         dataset = ConferencesDataset(generate_publications(400, 10),
                                      generate_ranking(10, seed=11))
-        eager = run_rma(dataset)
-        via_api = run_rma(dataset, matrix=True)
-        assert via_api.system == "RMA+MKL+API"
-        assert np.array_equal(np.asarray(eager.signature),
-                              np.asarray(via_api.signature))
+        centered = _center(dataset)
+        scale = 1.0 / (centered.nrows - 1)
+        cross = repro.rma.cpd(centered, "author", centered, "author",
+                              config=config)
+        eager = repro.rma.smul(cross, "C", scale, config=config)
+        db = repro.connect(config=config)
+        cm = db.matrix(centered, by="author")
+        assert identical(eager, (cm.cpd(cm) * scale).collect())
 
     def test_trip_count(self, config):
-        from repro.workloads.trip_count import make_dataset, run_rma
+        from repro.workloads.trip_count import make_dataset
         dataset = make_dataset(2_000)
-        eager = run_rma(dataset)
-        via_api = run_rma(dataset, matrix=True)
-        assert via_api.system == "RMA+BAT+API"
-        assert np.array_equal(np.asarray(eager.signature),
-                              np.asarray(via_api.signature))
+        eager = repro.rma.add(dataset.year1, dataset.key1, dataset.year2,
+                              dataset.key2, config=config)
+        db = repro.connect(config=config)
+        db.register("y1", dataset.year1)
+        db.register("y2", dataset.year2)
+        via_matrix = (db.matrix("y1", by=dataset.key1)
+                      + db.matrix("y2", by=dataset.key2)).collect()
+        via_sql = db.execute(f"SELECT * FROM ADD(y1 BY {dataset.key1}, "
+                             f"y2 BY {dataset.key2})")
+        assert identical(eager, via_matrix)
+        assert identical(eager, via_sql)
 
     def test_trips_runner_label(self):
         from repro.data.bixi import generate_stations, generate_trips
@@ -287,8 +302,5 @@ class TestWorkloadsAcrossSurfaces:
         stations = generate_stations(15, seed=1)
         trips = generate_trips(2_000, stations, seed=2)
         dataset = TripsDataset(trips, stations, 2014, 2017, min_count=5)
-        eager = run_rma(dataset)
-        via_api = run_rma(dataset, matrix=True)
-        assert via_api.system == "RMA+MKL+API"
-        assert np.array_equal(np.asarray(eager.signature),
-                              np.asarray(via_api.signature))
+        assert run_rma(dataset).system == "RMA+MKL"
+        assert run_rma(dataset, "bat").system == "RMA+BAT"

@@ -1,4 +1,4 @@
-"""Database: the session front door (connect, configure, caches, shim)."""
+"""Database: the session front door (connect, configure, caches)."""
 
 import numpy as np
 import pytest
@@ -65,30 +65,6 @@ class TestConnect:
         assert m.app_names == ("x0", "x1", "x2", "x3")
         assert m.inv().app_names == ("x0", "x1", "x2", "x3")
         assert m.T.app_names is None  # column cast: data-dependent
-
-
-class TestSessionShim:
-    def test_session_is_a_database(self):
-        from repro.sql import Session
-        assert issubclass(Session, Database)
-        assert isinstance(repro.Session(), Database)
-
-    def test_old_import_paths_still_work(self):
-        from repro.sql.session import Session as A
-        from repro.sql import Session as B
-        assert A is B is repro.Session
-
-    def test_sql_parity_with_database(self, rel):
-        session = repro.Session()
-        db = repro.connect()
-        for handle in (session, db):
-            handle.register("t", rel)
-        a = session.execute("SELECT * FROM INV(t BY key)")
-        b = db.execute("SELECT * FROM INV(t BY key)")
-        for name in a.names:
-            assert np.array_equal(a.column(name).tail,
-                                  b.column(name).tail) or \
-                list(a.column(name).tail) == list(b.column(name).tail)
 
 
 class TestConfigure:
@@ -225,7 +201,7 @@ class TestSessionCaches:
 
     def test_sql_path_keeps_tight_pruning(self, rel):
         """SQL SELECTs end in a Project naming their output, so pruning
-        below it must stay keep_all=False (as in the replaced Session) —
+        below it must stay keep_all=False —
         an output alias colliding with an unused source column must not
         widen the scan."""
         db = repro.connect()

@@ -1,4 +1,4 @@
-"""Matrix expression handles: operators, inference, fusion, bridging."""
+"""Matrix expression handles: operators, inference, fusion, verbs."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,10 @@ import repro
 from repro.core.ops import execute_rma
 from repro.errors import OrderSchemaError, PlanError
 from repro.opspec import OPS, SCALAR_OPS
+from repro.plan.expr import col
 from repro.relational.relation import Relation
+
+from bitwise import identical
 
 
 def rel_with_key(key: str, n: int = 6, cols=("x", "y"), seed: int = 0):
@@ -83,11 +86,7 @@ class TestOperatorChain:
                            execute_rma("smul", rel_of(c), "kc",
                                        scalar=2.0), "kc")
         eager = execute_rma("sub", step, ["ka", "kc"], rel_of(d), "kd")
-        assert result.names == eager.names
-        for name in result.names:
-            ca, cb = result.column(name), eager.column(name)
-            assert list(ca.tail) == list(cb.tail) \
-                or np.array_equal(ca.tail, cb.tail, equal_nan=True)
+        assert identical(result, eager)
 
     def test_transpose_after_chain_narrows(self, db):
         a = db.matrix(rel_with_key("ka"), by="ka")
@@ -179,49 +178,107 @@ class TestSharingAndCse:
         fused = expr.collect()
         unfused = expr.collect(fuse_elementwise=False)
         assert "FusedRma" not in expr.explain(fuse_elementwise=False)
-        for name in fused.names:
-            ca, cb = fused.column(name), unfused.column(name)
-            assert list(ca.tail) == list(cb.tail) \
-                or np.array_equal(ca.tail, cb.tail, equal_nan=True)
+        assert identical(fused, unfused)
 
 
 class TestLazyBridge:
-    def test_to_lazy_filters_expression_result(self, db):
+    """The relational verbs: matrix results flow into filters, joins and
+    projections inside the same plan, on the same database."""
+
+    def test_filter_on_expression_result(self, db):
         a = db.matrix(rel_with_key("ka"), by="ka")
         c = db.matrix(rel_with_key("kc", seed=2), by="kc")
-        from repro.plan.lazy import col
-        out = ((a + c).to_lazy()
-               .filter(col("x") >= 0.0)
-               .collect())
+        out = (a + c).filter(col("x") >= 0.0).collect()
         assert set(out.names) == {"ka", "kc", "x", "y"}
 
-    def test_to_lazy_resolves_named_tables(self, db):
-        """A Matrix over a catalog table must bridge into a frame that
-        plans against the owning database's catalog."""
+    def test_verbs_resolve_named_tables(self, db):
+        """Verbs over a catalog table plan against the owning database's
+        catalog."""
         rel = rel_with_key("k", n=2)  # square application part
         db.register("t", rel)
         m = db.matrix("t", by="k")
-        out = m.inv().to_lazy().collect()
+        out = m.inv().filter(col("x") <= 1e9).collect()
         eager = execute_rma("inv", rel, "k")
         assert out.names == eager.names
-        assert "Scan t" in m.inv().to_lazy().explain()
+        assert "Scan t" in m.inv().filter(col("x") <= 1e9).explain()
 
-    def test_to_lazy_uses_session_caches(self, db):
+    def test_verbs_use_session_caches(self, db):
         rel = rel_with_key("k", n=2)
         m = db.matrix(rel, by="k")
         m.inv().collect()  # populate the session result cache
         before = db.result_cache.hits
-        m.inv().to_lazy().collect()
+        m.inv().filter(col("x") <= 1e9).collect()
         assert db.result_cache.hits == before + 1
 
-    def test_to_lazy_binding_survives_chaining(self, db):
+    def test_verb_chain_keeps_session_binding(self, db):
         db.register("t", rel_with_key("k", n=2))
-        from repro.plan.lazy import col
-        out = (db.matrix("t", by="k").inv().to_lazy()
+        out = (db.matrix("t", by="k").inv()
                .filter(col("x") <= 1e9)
                .select("k", "x")
                .collect())
         assert out.names == ["k", "x"]
+
+    def test_verb_chain_explain_honors_optimize_plans(self):
+        db = repro.connect(optimize_plans=False)
+        m = db.matrix(rel_with_key("k"), by="k")
+        text = (3.0 * m + 1.0).filter(col("x") > 0.0).explain()
+        assert "FusedRma" not in text
+        assert text.count("Rma ") == 2
+
+    def test_verb_chain_collect_sets_last_stats(self, db):
+        m = db.matrix(rel_with_key("k"), by="k")
+        assert db.last_stats is None
+        (3.0 * m + 1.0).filter(col("x") > 0.0).collect()
+        assert db.last_stats is not None
+        assert db.last_stats.fused_nodes == 1
+
+    def test_row_verbs_keep_schemas(self, db):
+        a = db.matrix(rel_with_key("ka"), by="ka")
+        b = db.matrix(rel_with_key("kb", seed=1), by="kb")
+        chain = a + b
+        for handle in (chain.filter(col("x") > 0.0), chain.sort("x"),
+                       chain.limit(2), chain.distinct()):
+            assert handle.by == chain.by
+            assert handle.app_names == chain.app_names
+            # The order parts survive too: narrowing still finds "ka".
+            assert handle.narrow().by == ("ka",)
+
+    def test_select_keeps_order_schema(self, db):
+        m = db.matrix(rel_with_key("k"), by="k")
+        out = m.select("k", (col("x") * 2.0).alias("x2"))
+        assert out.by == ("k",)
+        assert out.app_names == ("x2",)
+        assert out.collect().names == ["k", "x2"]
+
+    def test_select_dropping_order_attribute_raises(self, db):
+        m = db.matrix(rel_with_key("k"), by="k")
+        with pytest.raises(OrderSchemaError):
+            m.select("x", "y")
+
+    def test_select_gives_transpose_a_static_schema(self, db):
+        m = db.matrix(rel_with_key("k", n=2), by="k")
+        t = m.T
+        assert t.app_names is None
+        picked = t.select("C", "k0")
+        assert picked.app_names == ("k0",)
+
+    def test_join_keeps_order_schema(self, db):
+        m = db.matrix(rel_with_key("k"), by="k", name="m")
+        labels = Relation.from_columns({
+            "key": [f"k{i}" for i in range(6)],
+            "label": [f"l{i}" for i in range(6)]})
+        joined = m.join(labels, on=col("k", "m") == col("key"))
+        assert joined.by == ("k",)
+        assert joined.app_names == ("x", "y", "key", "label")
+        out = joined.collect()
+        assert out.nrows == 6
+        assert out.names == ["k", "x", "y", "key", "label"]
+
+    def test_join_rejects_foreign_database(self, db):
+        m = db.matrix(rel_with_key("k"), by="k")
+        other = repro.connect().matrix(rel_with_key("k"), by="k")
+        with pytest.raises(PlanError):
+            m.join(other, on=col("k") == col("k"))
 
     def test_ordered_by_rekeys(self, db):
         rel = rel_with_key("k")

@@ -12,14 +12,16 @@ import threading
 import numpy as np
 import pytest
 
+import repro
 import repro.relational.relation as relation_module
 from repro.bat.bat import BAT, DataType
 from repro.core import RmaConfig
 from repro.core.config import ParallelConfig
 from repro.plan.cache import PlanCache
-from repro.plan.lazy import scan
 from repro.relational.joins import lex_sorted, relation_lex_sorted
 from repro.relational.relation import Relation
+
+from bitwise import identical
 
 N_THREADS = 8
 
@@ -153,21 +155,14 @@ class TestSharedExecution:
             enabled=True, workers=2, min_morsel_rows=1))
 
         def run():
-            return (scan(rel).rma("add", by=("key", "grp"),
-                                  other=scan(other),
-                                  other_by=("key2", "grp2"))
-                    .collect(config=config))
+            db = repro.connect(plan_cache=False)
+            return (db.matrix(rel, by=("key", "grp"))
+                    + db.matrix(other, by=("key2", "grp2"))) \
+                .collect(config=config)
 
         results = hammer(run)
         reference = run()
-        for result in results:
-            assert result.names == reference.names
-            for name in result.names:
-                a, b = result.column(name), reference.column(name)
-                if a.dtype is DataType.DBL:
-                    assert np.array_equal(a.tail, b.tail, equal_nan=True)
-                else:
-                    assert list(a.tail) == list(b.tail)
+        assert all(identical(result, reference) for result in results)
 
     def test_plan_cache_concurrent_use(self):
         rel = shuffled_relation(1_000)
@@ -176,8 +171,8 @@ class TestSharedExecution:
             enabled=True, workers=2, min_morsel_rows=1))
 
         def run():
-            return (scan(rel).rma("rnk", by="key")
-                    .collect(config=config, cache=cache))
+            db = repro.connect(plan_cache=cache)
+            return db.matrix(rel, by="key").rnk().collect(config=config)
 
         results = hammer(run)
         assert cache.hits + cache.misses >= N_THREADS

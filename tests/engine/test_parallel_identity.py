@@ -13,14 +13,16 @@ import os
 import numpy as np
 import pytest
 
-from repro.bat.bat import DataType
+import repro
 from repro.core import RmaConfig
 from repro.core.config import ParallelConfig
 from repro.core.ops import execute_rma
 from repro.linalg.policy import BackendPolicy
 from repro.opspec import OPS, SCALAR_OPS
-from repro.plan.lazy import scan
 from repro.relational.relation import Relation
+
+from bitwise import identical
+
 
 MAX_WORKERS = os.cpu_count() or 1
 
@@ -49,19 +51,6 @@ def serial_config(prefer="auto", validate=True) -> RmaConfig:
                      parallel=ParallelConfig(enabled=False))
 
 
-def identical(a: Relation, b: Relation) -> bool:
-    if a.names != b.names:
-        return False
-    for name in a.names:
-        ca, cb = a.column(name), b.column(name)
-        if ca.dtype is not cb.dtype:
-            return False
-        if ca.dtype is DataType.DBL:
-            if not np.array_equal(ca.tail, cb.tail, equal_nan=True):
-                return False
-        elif list(ca.tail) != list(cb.tail):
-            return False
-    return True
 
 
 def keyed(matrix: np.ndarray, key: str = "key", shuffle_seed=3) -> Relation:
@@ -179,14 +168,16 @@ class TestTable2Ops:
         assert identical(serial, parallel)
 
 
+def matrices(leaves):
+    """One uncached database's handles over ``leaves``, keyed k0, k1, ..."""
+    db = repro.connect(plan_cache=False)
+    return [db.matrix(leaf, by=f"k{i}") for i, leaf in enumerate(leaves)]
+
+
 class TestFusedChains:
     def chain(self, leaves):
-        pipe = scan(leaves[0]).rma("add", by="k0", other=scan(leaves[1]),
-                                   other_by="k1")
-        pipe = pipe.rma("sub", by=("k0", "k1"), other=scan(leaves[2]),
-                        other_by="k2")
-        return pipe.rma("emu", by=("k0", "k1", "k2"),
-                        other=scan(leaves[3]), other_by="k3")
+        m = matrices(leaves)
+        return (m[0] + m[1] - m[2]) * m[3]
 
     def leaves(self, n=200):
         out = []
@@ -211,13 +202,8 @@ class TestFusedChains:
     def test_fused_chain_with_scalar_steps(self):
         leaves = self.leaves()
         def pipeline(config):
-            pipe = scan(leaves[0]).rma("add", by="k0",
-                                       other=scan(leaves[1]),
-                                       other_by="k1")
-            pipe = pipe.rma("smul", by=("k0", "k1"), scalar=0.5)
-            pipe = pipe.rma("sub", by=("k0", "k1"),
-                            other=scan(leaves[2]), other_by="k2")
-            return pipe.collect(config=config)
+            m = matrices(leaves[:3])
+            return ((m[0] + m[1]) * 0.5 - m[2]).collect(config=config)
         assert identical(pipeline(serial_config(validate=False)),
                          pipeline(parallel_config(2, 1, validate=False)))
 
@@ -226,10 +212,8 @@ class TestFusedChains:
         # concurrently; results must not change.
         rel = keyed(RNG.uniform(1.0, 9.0, (6, 6)) + 6 * np.eye(6))
         def pipeline(config):
-            a = scan(rel).rma("inv", by="key")
-            b = scan(rel).rma("qqr", by="key")
-            return a.rma("mmu", by="key", other=b,
-                         other_by="key").collect(config=config)
+            m = repro.connect(plan_cache=False).matrix(rel, by="key")
+            return (m.inv() @ m.qqr()).collect(config=config)
         assert identical(pipeline(serial_config()),
                          pipeline(parallel_config(2, 1)))
 
@@ -261,14 +245,6 @@ class TestWorkloads:
         trips = generate_trips(2_000, stations, seed=2)
         dataset = TripsDataset(trips, stations, 2014, 2017, min_count=5)
         self.run_both(monkeypatch, lambda: run_rma(dataset))
-
-    def test_trips_olr_lazy(self, monkeypatch):
-        from repro.data.bixi import generate_stations, generate_trips
-        from repro.workloads.trips_olr import TripsDataset, run_rma
-        stations = generate_stations(15, seed=1)
-        trips = generate_trips(2_000, stations, seed=2)
-        dataset = TripsDataset(trips, stations, 2014, 2017, min_count=5)
-        self.run_both(monkeypatch, lambda: run_rma(dataset, lazy=True))
 
     def test_journeys_mlr(self, monkeypatch):
         from repro.data.bixi import generate_numeric_trips, \

@@ -10,6 +10,7 @@ order-schema boundaries) keep their unfused shape.
 import numpy as np
 import pytest
 
+import repro
 from repro.core.algebra import add, sadd, smul, ssub, sub
 from repro.core.config import RmaConfig
 from repro.core.ops import execute_fused
@@ -17,18 +18,13 @@ from repro.core.context import FusionFallback
 from repro.errors import RmaError
 from repro.linalg.kernels import KernelProgram, KernelStep, run_program
 from repro.plan import nodes
-from repro.plan.lazy import col, scan
+from repro.plan.build import build_rma
+from repro.plan.expr import col
 from repro.plan.optimizer import optimize
 from repro.bat.catalog import Catalog
 from repro.relational.relation import Relation
-from repro.sql import Session
 
-
-def relations_equal(a: Relation, b: Relation) -> bool:
-    """Bit-identity: same names, dtypes and raw tails."""
-    if a.names != b.names:
-        return False
-    return all(a.column(n) == b.column(n) for n in a.names)
+from bitwise import identical
 
 
 def chain_relation(index: int, n: int = 300, seed: int = 0,
@@ -45,8 +41,14 @@ def chain_relation(index: int, n: int = 300, seed: int = 0,
     return Relation.from_columns(data)
 
 
+def handles(*relations):
+    """Uncached handles keyed by each relation's first attribute (k<i>)."""
+    db = repro.connect(plan_cache=False)
+    return [db.matrix(r, by=r.names[0]) for r in relations]
+
+
 def collect_both(pipe, **kwargs):
-    """(fused result, unfused result) for one lazy pipeline."""
+    """(fused result, unfused result) for one Matrix expression."""
     fused = pipe.collect(config=RmaConfig(**kwargs))
     unfused = pipe.collect(
         config=RmaConfig(fuse_elementwise=False, **kwargs))
@@ -132,9 +134,8 @@ class TestScalarOps:
 
 class TestFusionRewrite:
     def test_left_deep_chain_fuses(self):
-        r0, r1, r2 = (chain_relation(i) for i in range(3))
-        pipe = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(r2), other_by="k2"))
+        m0, m1, m2 = handles(*(chain_relation(i) for i in range(3)))
+        pipe = m0 + m1 - m2
         plan = optimize(pipe.plan, Catalog(), keep_all=True)
         fused = find_fused(plan)
         assert len(fused) == 1
@@ -142,20 +143,16 @@ class TestFusionRewrite:
         assert fused[0].bys == (("k0",), ("k1",), ("k2",))
 
     def test_right_deep_chain_fuses(self):
-        r0, r1, r2 = (chain_relation(i) for i in range(3))
-        inner = scan(r1).rma("emu", by="k1", other=scan(r2), other_by="k2")
-        pipe = scan(r0).rma("add", by="k0", other=inner,
-                            other_by=("k1", "k2"))
+        m0, m1, m2 = handles(*(chain_relation(i) for i in range(3)))
+        pipe = m0 + m1 * m2
         plan = optimize(pipe.plan, Catalog(), keep_all=True)
         fused = find_fused(plan)
         assert len(fused) == 1
         assert fused[0].member_ops == ("emu", "add")
 
     def test_scalar_steps_fuse(self):
-        r0, r1 = chain_relation(0), chain_relation(1)
-        pipe = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("smul", by=("k0", "k1"), scalar=2.0)
-                .rma("sadd", by=("k0", "k1"), scalar=-1.0))
+        m0, m1 = handles(chain_relation(0), chain_relation(1))
+        pipe = (m0 + m1).smul(2.0).sadd(-1.0)
         plan = optimize(pipe.plan, Catalog(), keep_all=True)
         fused = find_fused(plan)
         assert len(fused) == 1
@@ -163,34 +160,31 @@ class TestFusionRewrite:
         assert fused[0].steps[1].scalar == 2.0
 
     def test_single_op_not_fused(self):
-        r0, r1 = chain_relation(0), chain_relation(1)
-        pipe = scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-        plan = optimize(pipe.plan, Catalog(), keep_all=True)
+        m0, m1 = handles(chain_relation(0), chain_relation(1))
+        plan = optimize((m0 + m1).plan, Catalog(), keep_all=True)
         assert not find_fused(plan)
 
     def test_order_schema_boundary_blocks_fusion(self):
         # The parent orders the derived relation by a *permuted* schema:
         # alignment semantics differ, so the edge must not fuse.
-        r0 = chain_relation(0, str_keys=False)
-        r1 = chain_relation(1, str_keys=False)
-        r2 = chain_relation(2, str_keys=False)
-        pipe = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("sub", by=("k1", "k0"), other=scan(r2), other_by="k2"))
+        m0, m1, m2 = handles(*(chain_relation(i, str_keys=False)
+                               for i in range(3)))
+        pipe = (m0 + m1).ordered_by(("k1", "k0")) - m2
         plan = optimize(pipe.plan, Catalog(), keep_all=True)
         assert not find_fused(plan)
         fused, unfused = collect_both(pipe)
-        assert relations_equal(fused, unfused)
+        assert identical(fused, unfused)
 
     def test_shared_subtree_not_absorbed(self):
         # The inner chain is referenced twice: it must stay a separate
         # (CSE-shared) node, not be re-computed inside two fused chains.
-        r0, r1 = chain_relation(0), chain_relation(1)
-        inner = scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-        doubled = inner.rma("smul", by=("k0", "k1"), scalar=2.0)
-        tripled = inner.rma("smul", by=("k0", "k1"), scalar=3.0)
-        pipe = doubled.rma("sub", by=("k0", "k1"), other=tripled,
-                           other_by=("k0", "k1"))
-        plan = optimize(pipe.plan, Catalog(), keep_all=True)
+        m0, m1 = handles(chain_relation(0), chain_relation(1))
+        inner = m0 + m1
+        doubled, tripled = inner * 2.0, inner * 3.0
+        # Built below the Matrix surface, which rejects the overlap.
+        pipe = build_rma("sub", (doubled.plan, tripled.plan),
+                         (("k0", "k1"), ("k0", "k1")))
+        plan = optimize(pipe, Catalog(), keep_all=True)
         # The shared `inner` add survives as a plain Rma node.
         inner_nodes = [n for n in nodes.walk_plan(plan)
                        if isinstance(n, nodes.Rma) and n.op == "add"]
@@ -202,11 +196,10 @@ class TestFusionRewrite:
         # The SAME chain referenced twice: every interior node's count
         # equals the root's, so fusion proceeds — both references become
         # one structurally equal FusedRma that CSE executes once.
-        r0 = chain_relation(0, str_keys=False)
-        r1 = chain_relation(1, str_keys=False)
-        chain = (scan(r0, name="a")
-                 .rma("add", by="k0", other=scan(r1), other_by="k1")
-                 .rma("smul", by=("k0", "k1"), scalar=2.0))
+        db = repro.connect(plan_cache=False)
+        a = db.matrix(chain_relation(0, str_keys=False), by="k0", name="a")
+        b = db.matrix(chain_relation(1, str_keys=False), by="k1")
+        chain = (a + b) * 2.0
         pipe = chain.join(chain, on=(col("k0", "a") == col("k0", "a")))
         plan = optimize(pipe.plan, Catalog(), keep_all=True)
         fused = find_fused(plan)
@@ -214,17 +207,14 @@ class TestFusionRewrite:
         assert fused[0] == fused[1]  # CSE memoizes one execution
 
     def test_fusion_disabled_by_flag(self):
-        r0, r1, r2 = (chain_relation(i) for i in range(3))
-        pipe = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(r2), other_by="k2"))
-        plan = optimize(pipe.plan, Catalog(), keep_all=True, fuse=False)
+        m0, m1, m2 = handles(*(chain_relation(i) for i in range(3)))
+        plan = optimize((m0 + m1 - m2).plan, Catalog(), keep_all=True,
+                        fuse=False)
         assert not find_fused(plan)
 
     def test_unfuse_reconstructs_chain(self):
-        r0, r1, r2 = (chain_relation(i) for i in range(3))
-        pipe = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(r2), other_by="k2")
-                .rma("smul", by=("k0", "k1", "k2"), scalar=2.0))
+        m0, m1, m2 = handles(*(chain_relation(i) for i in range(3)))
+        pipe = (m0 + m1 - m2) * 2.0
         plan = optimize(pipe.plan, Catalog(), keep_all=True)
         fused = find_fused(plan)[0]
         rebuilt = nodes.unfuse(fused)
@@ -246,31 +236,24 @@ class TestFusedBitIdentity:
     @pytest.mark.parametrize("kwargs", CHAIN_KW,
                              ids=["validate", "novalidate"])
     def test_left_deep_mixed_ops(self, kwargs):
-        r0, r1, r2, r3 = (chain_relation(i) for i in range(4))
-        pipe = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(r2), other_by="k2")
-                .rma("emu", by=("k0", "k1", "k2"), other=scan(r3),
-                     other_by="k3"))
+        m0, m1, m2, m3 = handles(*(chain_relation(i) for i in range(4)))
+        pipe = (m0 + m1 - m2) * m3
         fused, unfused = collect_both(pipe, **kwargs)
-        assert relations_equal(fused, unfused)
+        assert identical(fused, unfused)
 
     @pytest.mark.parametrize("kwargs", CHAIN_KW,
                              ids=["validate", "novalidate"])
     def test_right_deep_chain(self, kwargs):
-        r0, r1, r2 = (chain_relation(i) for i in range(3))
-        inner = scan(r1).rma("emu", by="k1", other=scan(r2), other_by="k2")
-        pipe = scan(r0).rma("add", by="k0", other=inner,
-                            other_by=("k1", "k2"))
+        m0, m1, m2 = handles(*(chain_relation(i) for i in range(3)))
+        pipe = m0 + m1 * m2
         fused, unfused = collect_both(pipe, **kwargs)
-        assert relations_equal(fused, unfused)
+        assert identical(fused, unfused)
 
     def test_scalar_mix(self):
-        r0, r1 = chain_relation(0), chain_relation(1)
-        pipe = (scan(r0).rma("smul", by="k0", scalar=0.5)
-                .rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("ssub", by=("k0", "k1"), scalar=4.0))
+        m0, m1 = handles(chain_relation(0), chain_relation(1))
+        pipe = m0 * 0.5 + m1 - 4.0
         fused, unfused = collect_both(pipe)
-        assert relations_equal(fused, unfused)
+        assert identical(fused, unfused)
 
     def test_int_keys_and_int_values(self):
         rng = np.random.default_rng(5)
@@ -284,10 +267,9 @@ class TestFusedBitIdentity:
         r2 = Relation.from_columns({
             "k2": rng.permutation(n).astype(np.int64),
             "x": rng.integers(-100, 100, n)})
-        pipe = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("emu", by=("k0", "k1"), other=scan(r2), other_by="k2"))
-        fused, unfused = collect_both(pipe)
-        assert relations_equal(fused, unfused)
+        m0, m1, m2 = handles(r0, r1, r2)
+        fused, unfused = collect_both((m0 + m1) * m2)
+        assert identical(fused, unfused)
 
     def test_presorted_keys(self):
         # Identity alignments (everything already sorted) stay identical.
@@ -297,29 +279,19 @@ class TestFusedBitIdentity:
         rels = [Relation.from_columns({f"k{i}": vals,
                                        "v": rng.uniform(0, 1, n)})
                 for i in range(3)]
-        pipe = (scan(rels[0])
-                .rma("add", by="k0", other=scan(rels[1]), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(rels[2]),
-                     other_by="k2"))
-        fused, unfused = collect_both(pipe)
-        assert relations_equal(fused, unfused)
+        m0, m1, m2 = handles(*rels)
+        fused, unfused = collect_both(m0 + m1 - m2)
+        assert identical(fused, unfused)
 
     def test_wide_application_schema(self):
-        rels = [chain_relation(i, cols=5) for i in range(3)]
-        pipe = (scan(rels[0])
-                .rma("add", by="k0", other=scan(rels[1]), other_by="k1")
-                .rma("emu", by=("k0", "k1"), other=scan(rels[2]),
-                     other_by="k2"))
-        fused, unfused = collect_both(pipe)
-        assert relations_equal(fused, unfused)
+        m0, m1, m2 = handles(*(chain_relation(i, cols=5)
+                               for i in range(3)))
+        fused, unfused = collect_both((m0 + m1) * m2)
+        assert identical(fused, unfused)
 
     def test_fused_result_order_cache_is_warm(self):
-        rels = [chain_relation(i) for i in range(3)]
-        pipe = (scan(rels[0])
-                .rma("add", by="k0", other=scan(rels[1]), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(rels[2]),
-                     other_by="k2"))
-        fused = pipe.collect()
+        m0, m1, m2 = handles(*(chain_relation(i) for i in range(3)))
+        fused = (m0 + m1 - m2).collect()
         # All aligned schemas and combined prefixes are seeded.
         for key in (("k0",), ("k1",), ("k2",), ("k0", "k1"),
                     ("k0", "k1", "k2")):
@@ -349,13 +321,13 @@ class TestFusionFallback:
         r2 = Relation.from_columns({
             "k2": rng.permutation(n).astype(np.int64),
             "x": rng.uniform(0, 1, n)})
-        pipe = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(r2), other_by="k2"))
+        m0, m1, m2 = handles(r0, r1, r2)
+        pipe = m0 + m1 - m2
         config = RmaConfig(validate_keys=False)
         fused = pipe.collect(config=config)
         unfused = pipe.collect(
             config=RmaConfig(validate_keys=False, fuse_elementwise=False))
-        assert relations_equal(fused, unfused)
+        assert identical(fused, unfused)
 
     def test_fallback_counted_in_stats(self):
         rng = np.random.default_rng(10)
@@ -370,7 +342,7 @@ class TestFusionFallback:
             "k2": rng.permutation(n).astype(np.int64),
             "x": rng.uniform(0, 1, n)})
         config = RmaConfig(validate_keys=False)
-        session = Session(config=config)
+        session = repro.connect(config=config)
         session.register("r0", r0)
         session.register("r1", r1)
         session.register("r2", r2)
@@ -384,8 +356,8 @@ class TestFusionFallback:
         r0 = chain_relation(0, n=50)
         r1 = chain_relation(1, n=50)
         r2 = chain_relation(2, n=40)  # wrong cardinality
-        pipe = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(r2), other_by="k2"))
+        m0, m1, m2 = handles(r0, r1, r2)
+        pipe = m0 + m1 - m2
         with pytest.raises(RmaError) as fused_err:
             pipe.collect()
         with pytest.raises(RmaError) as unfused_err:
@@ -394,15 +366,12 @@ class TestFusionFallback:
 
     def test_properties_off_falls_back(self):
         from repro.bat.properties import use_properties
-        rels = [chain_relation(i) for i in range(3)]
-        pipe = (scan(rels[0])
-                .rma("add", by="k0", other=scan(rels[1]), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(rels[2]),
-                     other_by="k2"))
+        m0, m1, m2 = handles(*(chain_relation(i) for i in range(3)))
+        pipe = m0 + m1 - m2
         with use_properties(False):
             off = pipe.collect(config=RmaConfig(use_properties=False))
         on = pipe.collect()
-        assert relations_equal(off, on)
+        assert identical(off, on)
 
     def test_execute_fused_precondition_error(self):
         rels = [chain_relation(i) for i in range(2)]
@@ -417,7 +386,7 @@ class TestFusionFallback:
 
 class TestSqlFusion:
     def make_session(self, **kwargs):
-        session = Session(**kwargs)
+        session = repro.connect(**kwargs)
         for i in range(3):
             session.register(f"r{i}", chain_relation(i))
         return session
@@ -429,7 +398,7 @@ class TestSqlFusion:
         fused = self.make_session().execute(self.SQL)
         unfused = self.make_session(
             config=RmaConfig(fuse_elementwise=False)).execute(self.SQL)
-        assert relations_equal(fused, unfused)
+        assert identical(fused, unfused)
 
     def test_explain_prints_fused_node_with_member_ops(self):
         text = self.make_session().explain(self.SQL)
@@ -448,8 +417,6 @@ class TestSqlFusion:
         t1 = add(r0, "k0", r1, "k1")
         t2 = sub(t1, ("k0", "k1"), r2, "k2")
         eager = smul(t2, ("k0", "k1", "k2"), 2.0)
-        lazy = (scan(r0).rma("add", by="k0", other=scan(r1), other_by="k1")
-                .rma("sub", by=("k0", "k1"), other=scan(r2), other_by="k2")
-                .rma("smul", by=("k0", "k1", "k2"), scalar=2.0)
-                .collect())
-        assert relations_equal(eager, lazy)
+        m0, m1, m2 = handles(r0, r1, r2)
+        lazy = ((m0 + m1 - m2) * 2.0).collect()
+        assert identical(eager, lazy)

@@ -1,35 +1,31 @@
-"""Lazy builder equivalence: plan execution is bit-identical to eager.
+"""Lazy Matrix handles: bit-identical to eager, plus the relational verbs.
 
-The lazy API must reproduce ``execute_rma`` exactly for every Table 2
-operation — not just numerically close: same names, same dtypes, same raw
-tails.  Relational operators (filter/select/join/sort/limit/distinct) are
-checked against their SQL/relational counterparts.
+A :class:`repro.Matrix` must reproduce ``execute_rma`` exactly for every
+Table 2 operation — not just numerically close: same names, same dtypes,
+same raw tails.  The relational verbs (filter/select/join/sort/limit/
+distinct) are checked against their relational counterparts.
 """
 
 import numpy as np
 import pytest
 
-from repro.bat.bat import DataType
+import repro
+from repro.bat.catalog import Catalog
 from repro.core.ops import execute_rma
 from repro.errors import PlanError
 from repro.opspec import OPS
-from repro.plan.lazy import col, lit, scan
+from repro.plan import nodes
+from repro.plan.build import build_rma
+from repro.plan.expr import col, lit
+from repro.plan.physical import Executor
 from repro.relational.relation import Relation
 
+from bitwise import identical
 
-def identical(a: Relation, b: Relation) -> bool:
-    if a.names != b.names:
-        return False
-    for name in a.names:
-        ca, cb = a.column(name), b.column(name)
-        if ca.dtype is not cb.dtype:
-            return False
-        if ca.dtype is DataType.DBL:
-            if not np.array_equal(ca.tail, cb.tail, equal_nan=True):
-                return False
-        elif list(ca.tail) != list(cb.tail):
-            return False
-    return True
+
+def matrix(relation: Relation, by, **kwargs) -> repro.Matrix:
+    """A handle on a fresh uncached database: every collect executes."""
+    return repro.connect(plan_cache=False).matrix(relation, by=by, **kwargs)
 
 
 def keyed(matrix: np.ndarray, key: str = "key", prefix: str = "x",
@@ -64,7 +60,7 @@ class TestUnaryOps:
     def test_bit_identical(self, op):
         rel = keyed(UNARY_INPUTS[op])
         eager = execute_rma(op, rel, "key")
-        lazy = scan(rel).rma(op, by="key").collect()
+        lazy = getattr(matrix(rel, "key"), op)().collect()
         assert identical(eager, lazy), op
 
     def test_all_unary_ops_covered(self):
@@ -101,22 +97,26 @@ class TestBinaryOps:
     def test_bit_identical(self, op):
         r, by, s, s_by = self.binary_case(op)
         eager = execute_rma(op, r, by, s, s_by)
-        lazy = scan(r).rma(op, by=by, other=scan(s),
-                           other_by=s_by).collect()
+        db = repro.connect(plan_cache=False)
+        lazy = getattr(db.matrix(r, by=by), op)(
+            db.matrix(s, by=s_by)).collect()
         assert identical(eager, lazy), op
 
     def test_other_accepts_bare_relation(self):
         r, by, s, s_by = self.binary_case("add")
         eager = execute_rma("add", r, by, s, s_by)
-        lazy = scan(r).rma("add", by=by, other=s, other_by=s_by).collect()
+        lazy = matrix(r, by).add(s, by=s_by).collect()
         assert identical(eager, lazy)
 
     def test_arity_validation(self):
         r, by, s, s_by = self.binary_case("add")
+        left, right = nodes.RelScan(r, "r"), nodes.RelScan(s, "s")
         with pytest.raises(PlanError):
-            scan(r).rma("add", by=by)
+            build_rma("add", (left,), (by,))
         with pytest.raises(PlanError):
-            scan(r).rma("inv", by=by, other=s, other_by=s_by)
+            build_rma("inv", (left, right), (by, s_by))
+        with pytest.raises(PlanError):
+            matrix(r, by).add(s)  # a plain relation operand needs by=
 
 
 class TestChains:
@@ -135,20 +135,20 @@ class TestChains:
         eager = execute_rma("mmu", execute_rma("inv", xtx, "C"), "C",
                             xty, "C")
 
-        design = scan(a)
-        lazy_xtx = design.rma("cpd", by="id", other=design, other_by="id")
-        lazy_xty = design.rma("cpd", by="id", other=scan(v), other_by="id")
-        lazy = (lazy_xtx.rma("inv", by="C")
-                .rma("mmu", by="C", other=lazy_xty, other_by="C")
-                .collect())
+        design = matrix(a, "id")
+        lazy = (design.cpd(design).inv()
+                @ design.cpd(v, by="id")).collect()
         assert identical(eager, lazy)
 
     def test_collect_without_cse_matches(self):
         rel = keyed(SQUARE)
-        frame = scan(rel).rma("inv", by="key")
-        pipe = frame.rma("mmu", by="key", other=frame, other_by="key")
-        assert identical(pipe.collect(cse=True), pipe.collect(cse=False))
-        assert identical(pipe.collect(optimize=False), pipe.collect())
+        inv = matrix(rel, "key").inv()
+        pipe = inv @ inv
+        no_cse = Executor(Catalog(), cse=False).run(pipe.plan)
+        assert identical(pipe.collect(), no_cse.to_plain_relation())
+        slow = repro.connect(optimize_plans=False).matrix(rel, by="key")
+        assert identical((slow.inv() @ slow.inv()).collect(),
+                         pipe.collect())
 
 
 class TestRelationalOperators:
@@ -160,33 +160,34 @@ class TestRelationalOperators:
             "val": [1.5, 2.5, 0.5, 4.0, 3.0]})
 
     def test_scan_passthrough(self, rel):
-        assert scan(rel).collect() is rel
+        assert matrix(rel, "id").collect() is rel
 
     def test_filter(self, rel):
-        out = scan(rel).filter(col("val") > 1.0).collect()
+        out = matrix(rel, "id").filter(col("val") > 1.0).collect()
         assert out.to_rows() == [row for row in rel.to_rows()
                                  if row[2] > 1.0]
 
     def test_filter_compound(self, rel):
-        out = scan(rel).filter((col("val") > lit(1.0))
-                               & (col("grp") == "b")).collect()
+        out = matrix(rel, "id").filter((col("val") > lit(1.0))
+                                       & (col("grp") == "b")).collect()
         assert out.to_rows() == [(3, "b", 1.5), (4, "b", 3.0)]
 
     def test_select_names_and_exprs(self, rel):
-        out = scan(rel).select("id", (col("val") * 2).alias("dbl")) \
-            .collect()
+        out = matrix(rel, "id").select(
+            "id", (col("val") * 2).alias("dbl")).collect()
         assert out.names == ["id", "dbl"]
         assert out.column("dbl").python_values() == \
             [v * 2 for v in rel.column("val").python_values()]
 
     def test_sort_limit(self, rel):
-        out = scan(rel).sort("id").limit(2).collect()
+        out = matrix(rel, "id").sort("id").limit(2).collect()
         assert [r[0] for r in out.to_rows()] == [1, 2]
-        out = scan(rel).sort("id", descending=True).limit(1).collect()
+        out = matrix(rel, "id").sort("id", descending=True).limit(1) \
+            .collect()
         assert out.to_rows()[0][0] == 5
 
     def test_distinct(self, rel):
-        out = scan(rel).select("grp").distinct().collect()
+        out = matrix(rel, "grp").select("grp").distinct().collect()
         assert sorted(v for v in out.column("grp").python_values()) == \
             ["a", "b", "c"]
 
@@ -194,21 +195,22 @@ class TestRelationalOperators:
         other = Relation.from_columns({
             "key": np.array([1, 2, 3], dtype=np.int64),
             "label": ["one", "two", "three"]})
-        out = (scan(rel, name="l")
-               .join(scan(other, name="r"),
+        db = repro.connect()
+        out = (db.matrix(rel, by="id", name="l")
+               .join(db.matrix(other, by="key", name="r"),
                      on=col("id", "l") == col("key", "r"))
                .collect())
         assert sorted(out.column("label").python_values()) == \
             ["one", "three", "two"]
 
     def test_explain_mentions_nodes(self, rel):
-        text = (scan(rel).rma("rnk", by="id")
+        text = (matrix(rel, "id").rnk()
                 .filter(col("rnk") >= 0).explain())
         assert "Rma RNK" in text
         assert "RelScan" in text
 
     def test_interior_select_prunes_scan(self, rel):
-        pipe = scan(rel).select("id", "val").sort("id")
+        pipe = matrix(rel, "id").select("id", "val").sort("id")
         text = pipe.explain()
         assert "Prune [id, val]" in text
         out = pipe.collect()
@@ -216,5 +218,30 @@ class TestRelationalOperators:
         assert [r[0] for r in out.to_rows()] == [1, 2, 3, 4, 5]
 
     def test_non_project_root_keeps_all_columns(self, rel):
-        out = scan(rel).filter(col("val") > 1.0).collect()
+        out = matrix(rel, "id").filter(col("val") > 1.0).collect()
         assert out.names == rel.names
+
+    @pytest.mark.parametrize("verbs,sql", [
+        (lambda m, o: m.filter(col("val") > 1.0),
+         "SELECT * FROM t WHERE val > 1.0"),
+        (lambda m, o: m.filter((col("val") > lit(1.0)) & (col("grp") == "b")),
+         "SELECT * FROM t WHERE val > 1.0 AND grp = 'b'"),
+        (lambda m, o: m.select("id", (col("val") * 2).alias("dbl")),
+         "SELECT id, val * 2 AS dbl FROM t"),
+        (lambda m, o: m.sort("id", descending=True).limit(2, offset=1),
+         "SELECT * FROM t ORDER BY id DESC LIMIT 2 OFFSET 1"),
+        (lambda m, o: m.select("id", "grp").distinct(),
+         "SELECT DISTINCT id, grp FROM t"),
+        (lambda m, o: m.join(o, on=col("id", "t") == col("key", "o")),
+         "SELECT * FROM t JOIN o ON t.id = o.key"),
+    ], ids=["filter", "filter-compound", "select", "sort-limit", "distinct",
+            "join"])
+    def test_verbs_match_sql(self, rel, verbs, sql):
+        db = repro.connect()
+        db.register("t", rel)
+        db.register("o", Relation.from_columns({
+            "key": np.array([1, 2, 3], dtype=np.int64),
+            "label": ["one", "two", "three"]}))
+        via_verbs = verbs(db.matrix("t", by="id"),
+                          db.matrix("o", by="key")).collect()
+        assert identical(via_verbs, db.execute(sql))

@@ -4,19 +4,22 @@ and the warm-order seeding of derived relations (merge_result)."""
 import numpy as np
 import pytest
 
+import repro
 from repro.bat.bat import BAT, DataType
 from repro.bat.catalog import Catalog
 from repro.bat.properties import use_properties
 from repro.core.ops import execute_rma
 from repro.plan import nodes
-from repro.plan.lazy import scan
+from repro.plan.build import build_rma, build_select
 from repro.plan.optimizer import optimize
 from repro.plan.physical import Executor, plan_physical
 from repro.relational import joins as rel_join
 from repro.relational.relation import Relation
-from repro.sql import Session
-from repro.sql.logical import build_select
 from repro.sql.parser import parse_sql
+
+
+def matrix(relation, by="key"):
+    return repro.connect(plan_cache=False).matrix(relation, by=by)
 
 
 def find_nodes(plan, kind):
@@ -38,8 +41,8 @@ def square_relation(n=4, seed=9):
 class TestCse:
     def test_repeated_rma_subplan_runs_once(self):
         rel = square_relation()
-        frame = scan(rel).rma("inv", by="key")
-        pipe = frame.rma("mmu", by="key", other=frame, other_by="key")
+        inv = matrix(rel).inv()
+        pipe = inv @ inv
         plan = optimize(pipe.plan, Catalog(), keep_all=True)
         executor = Executor(Catalog())
         result = executor.run(plan).to_plain_relation()
@@ -47,27 +50,26 @@ class TestCse:
         assert result.nrows == rel.nrows
 
     def test_cse_ignores_alias_difference(self):
-        rel = square_relation()
-        a = scan(rel).rma("inv", by="key", alias="a")
-        b = scan(rel).rma("inv", by="key", alias="b")
-        pipe = a.rma("mmu", by="key", other=b, other_by="key")
+        leaf = nodes.RelScan(square_relation(), "m")
+        a = build_rma("inv", (leaf,), ("key",), alias="a")
+        b = build_rma("inv", (leaf,), ("key",), alias="b")
+        pipe = build_rma("mmu", (a, b), ("key", "key"))
         executor = Executor(Catalog())
-        executor.run(pipe.plan)
+        executor.run(pipe)
         assert executor.stats.cse_hits == 1
 
     def test_distinct_subplans_not_shared(self):
         r1, r2 = square_relation(seed=1), square_relation(seed=2)
-        pipe = scan(r1).rma("inv", by="key").rma(
-            "mmu", by="key", other=scan(r2).rma("inv", by="key"),
-            other_by="key")
+        db = repro.connect(plan_cache=False)
+        pipe = (db.matrix(r1, by="key").inv()
+                @ db.matrix(r2, by="key").inv())
         executor = Executor(Catalog())
         executor.run(pipe.plan)
         assert executor.stats.cse_hits == 0
 
     def test_cse_disabled(self):
-        rel = square_relation()
-        frame = scan(rel).rma("inv", by="key")
-        pipe = frame.rma("mmu", by="key", other=frame, other_by="key")
+        inv = matrix(square_relation()).inv()
+        pipe = inv @ inv
         executor = Executor(Catalog(), cse=False)
         executor.run(pipe.plan)
         assert executor.stats.cse_hits == 0
@@ -77,9 +79,9 @@ class TestCse:
         # occurrences; cached node hashes + the id-deduplicated walk and
         # the executor memo must keep this linear in distinct nodes.
         rel = square_relation(3)
-        pipe = scan(rel).rma("inv", by="key")
+        pipe = matrix(rel).inv()
         for _ in range(30):
-            pipe = pipe.rma("mmu", by="key", other=pipe, other_by="key")
+            pipe = pipe @ pipe
         info = plan_physical(pipe.plan, Catalog())
         executor = Executor(Catalog(), physical=info)
         result = executor.run(pipe.plan).to_plain_relation()
@@ -87,14 +89,12 @@ class TestCse:
         assert result.nrows == rel.nrows
 
     def test_planner_marks_shared_subplans(self):
-        rel = square_relation()
-        frame = scan(rel).rma("inv", by="key")
-        pipe = frame.rma("mmu", by="key", other=frame, other_by="key")
-        info = plan_physical(pipe.plan, Catalog())
+        inv = matrix(square_relation()).inv()
+        info = plan_physical((inv @ inv).plan, Catalog())
         assert any(count == 2 for count in info.shared.values())
 
     def test_sql_repeated_rma_shares(self, ):
-        session = Session()
+        session = repro.connect()
         session.register("m", square_relation())
         sql = ("SELECT a.x0 FROM INV(m BY key) AS a "
                "CROSS JOIN INV(m BY key) AS b")
@@ -160,7 +160,7 @@ def sorted_tables():
 
 class TestJoinStrategy:
     def make_session(self):
-        session = Session()
+        session = repro.connect()
         left, right = sorted_tables()
         session.register("l", left)
         session.register("r", right)
@@ -193,7 +193,7 @@ class TestJoinStrategy:
         session = self.make_session()
         sql = "SELECT v, w FROM l JOIN r ON l.id = r.key"
         fast = session.execute(sql)
-        slow = Session(optimize_plans=False)
+        slow = repro.connect(optimize_plans=False)
         left, right = sorted_tables()
         slow.register("l", left)
         slow.register("r", right)
@@ -209,7 +209,7 @@ class TestJoinStrategy:
     def test_str_keys_stay_hash_even_when_sorted(self):
         # The runtime merge path rejects STR keys; the planner must not
         # predict a strategy the executor cannot take.
-        session = Session()
+        session = repro.connect()
         left = Relation.from_columns({
             "k": ["a", "b", "c"], "v": [1.0, 2.0, 3.0]}).sorted_by(["k"])
         right = Relation.from_columns({
@@ -220,7 +220,7 @@ class TestJoinStrategy:
             session, "SELECT v, w FROM l JOIN r ON l.k = r.j") == "hash"
 
     def test_mixed_dtype_keys_stay_hash(self):
-        session = Session()
+        session = repro.connect()
         left = Relation.from_columns({
             "id": np.arange(4, dtype=np.int64),
             "v": np.arange(4, dtype=np.float64)}).sorted_by(["id"])
@@ -235,7 +235,7 @@ class TestJoinStrategy:
     def test_multi_key_sorted_join_chooses_merge(self):
         # Both sides are lexicographically sorted by (major, minor): the
         # composite-key merge path applies.
-        session = Session()
+        session = repro.connect()
         left, right = sorted_tables()
         session.register("l", left)
         session.register("r", right)
@@ -254,7 +254,7 @@ class TestJoinStrategy:
     def test_multi_key_unsorted_minor_stays_hash(self):
         # Duplicate major keys with a decreasing minor inside a tie group:
         # not lexicographically sorted, so the planner keeps the hash path.
-        session = Session()
+        session = repro.connect()
         left = Relation.from_columns({
             "id": np.array([0, 0, 1, 1], dtype=np.int64),
             "v": np.array([2.0, 1.0, 3.0, 4.0])})
@@ -274,7 +274,7 @@ class TestJoinStrategy:
 
 class TestOrderMetadata:
     def test_full_sort_rma_establishes_order(self):
-        session = Session()
+        session = repro.connect()
         session.register("m", square_relation())
         sql = "SELECT * FROM INV(m BY key)"
         info = plan_physical(session.plan(sql), session.catalog)
@@ -284,12 +284,13 @@ class TestOrderMetadata:
 
     def test_filter_preserves_order(self):
         rel, _ = sorted_tables()
-        plan = nodes.Filter(scan(rel).plan, parse_predicate("id > 2"))
+        plan = nodes.Filter(matrix(rel, "id").plan,
+                            parse_predicate("id > 2"))
         info = plan_physical(plan, Catalog())
         assert info.ordering[plan] == ("id",)
 
     def test_sort_node_establishes_order(self):
-        session = Session()
+        session = repro.connect()
         session.register("m", square_relation())
         plan = build_select(parse_sql("SELECT key, x0 FROM m ORDER BY key"))
         info = plan_physical(plan, session.catalog)
@@ -298,7 +299,7 @@ class TestOrderMetadata:
 
     def test_projection_renames_order(self):
         rel, _ = sorted_tables()
-        pipe = scan(rel).select("id", "v")
+        pipe = matrix(rel, "id").select("id", "v")
         plan = pipe.plan
         info = plan_physical(plan, Catalog())
         assert info.ordering[plan] == ("id",)
@@ -306,7 +307,7 @@ class TestOrderMetadata:
     def test_projection_over_join_does_not_claim_other_sides_order(self):
         # a is sorted by x; projecting b.x AS x above the join yields b's
         # values in join order — the ordering claim must not survive.
-        session = Session()
+        session = repro.connect()
         a = Relation.from_columns({
             "id": np.array([0, 1, 2], dtype=np.int64),
             "x": np.array([1, 2, 3], dtype=np.int64)}).sorted_by(["x"])

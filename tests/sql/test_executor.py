@@ -6,12 +6,12 @@ import pytest
 
 from repro.errors import BindError, PlanError
 from repro.relational import Relation
-from repro.sql import Session
+from repro import connect
 
 
 @pytest.fixture
 def session(users, films, ratings):
-    s = Session()
+    s = connect()
     s.register("u", users)
     s.register("f", films)
     s.register("r", ratings)
@@ -75,7 +75,7 @@ class TestFilters:
         assert sorted(v[0] for v in out.to_rows()) == ["Balto", "Heat"]
 
     def test_null_handling(self):
-        s = Session()
+        s = connect()
         s.register("t", Relation.from_columns({"x": [1, None, 3]}))
         assert s.execute(
             "SELECT x FROM t WHERE x IS NULL").to_rows() == [(None,)]
@@ -159,7 +159,7 @@ class TestAggregation:
         assert out.to_rows() == [(2,)]
 
     def test_count_distinct_grouped(self):
-        s = Session()
+        s = connect()
         s.register("t", Relation.from_columns(
             {"g": ["a", "a", "a", "b"], "x": [1, 1, 2, 5]}))
         out = s.execute(
@@ -209,7 +209,7 @@ class TestSubqueries:
 
 class TestDdl:
     def test_create_insert_select(self):
-        s = Session()
+        s = connect()
         s.execute("CREATE TABLE t (a INT, b VARCHAR(5), d DATE)")
         s.execute("INSERT INTO t VALUES (1, 'x', DATE '2020-05-17')")
         s.execute("INSERT INTO t (b, a) VALUES ('y', 2)")

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.relational import Relation
-from repro.sql import Session
+from repro import connect
 
 
 @pytest.fixture
 def session(users, films, ratings, weather):
-    s = Session()
+    s = connect()
     s.register("u", users)
     s.register("f", films)
     s.register("rating", ratings)

@@ -12,7 +12,7 @@ from repro.core import cpd, inv, mmu, tra
 from repro.data.bixi import generate_stations, generate_trips
 from repro.data.dblp import generate_publications
 from repro.relational.relation import Relation
-from repro.sql import Session
+from repro import connect
 
 
 class TestSqlVsAlgebra:
@@ -49,7 +49,7 @@ class TestSqlVsAlgebra:
         assert np.allclose(got_cpd / (n - 1), expected)
 
         # 4. the SQL front end.
-        session = Session()
+        session = connect()
         session.register("pubs", centered_rel)
         cov_sql = session.execute(
             "SELECT * FROM MMU(TRA(pubs BY author) BY C, pubs BY author)")
@@ -77,7 +77,7 @@ class TestSqlVsAlgebra:
         v = Relation.from_columns({
             "trip_id": prepared.column("trip_id"),
             "duration": prepared.column("duration").cast(DataType.DBL)})
-        session = Session()
+        session = connect()
         session.register("a", a)
         session.register("v", v)
         session.execute("CREATE TABLE xtx AS SELECT * FROM "
@@ -90,7 +90,7 @@ class TestSqlVsAlgebra:
         assert np.allclose(got, expected)
 
     def test_inverse_roundtrip_through_sql(self, ratings):
-        session = Session()
+        session = connect()
         session.register("rating", ratings)
         session.execute("CREATE TABLE inv_r AS "
                         "SELECT * FROM INV(rating BY User)")
@@ -107,7 +107,7 @@ class TestScaleSmoke:
         """A 50k-row mixed pipeline runs end to end in one session."""
         stations = generate_stations(30, seed=1)
         trips = generate_trips(50_000, stations, seed=2)
-        session = Session()
+        session = connect()
         session.register("trips", trips)
         session.register("stations", stations)
         out = session.execute(
