@@ -222,7 +222,13 @@ class Matrix:
         return self._rows(nodes.Sort(self._plan, items))
 
     def limit(self, count: int, offset: int = 0) -> "Matrix":
-        """Keep ``count`` rows, skipping the first ``offset``."""
+        """Keep ``count`` rows, skipping the first ``offset``.
+
+        Negative arguments raise :class:`PlanError` here, at the call, as
+        SQL rejects them at parse time."""
+        if count < 0 or offset < 0:
+            raise PlanError(f"limit: count ({count}) and offset ({offset}) "
+                            "must not be negative")
         return self._rows(nodes.Limit(self._plan, count, offset))
 
     def distinct(self) -> "Matrix":

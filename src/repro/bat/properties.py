@@ -7,8 +7,8 @@ first demand and cached on the instance, exactly like MonetDB's per-BAT
 property bits and order indexes.
 
 This module holds the single switch that enables the layer.  It exists so
-the ablation benchmark (``benchmarks/bench_ablation_properties.py``) can
-measure the engine with and without property tracking; with the switch off
+the ``properties.*`` ablations (``benchmarks/ablate.py``) can measure the
+engine with and without property tracking; with the switch off
 every property is recomputed from scratch on each use, no cache is read or
 written, and every short-circuit (identity permutations in
 :func:`repro.bat.sorting.order_by`, binary search in
@@ -19,7 +19,7 @@ bit-identical either way — only the work performed differs.
 The engine-level knob is :class:`repro.core.config.RmaConfig`'s
 ``use_properties`` flag, which gates the per-relation order cache used by
 :mod:`repro.core.context`; this module-level switch gates the BAT-layer
-behaviour underneath it.  Ablations toggle both (see the benchmark).
+behaviour underneath it.  The ablations toggle both.
 """
 
 from __future__ import annotations

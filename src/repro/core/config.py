@@ -23,10 +23,10 @@ class ParallelConfig:
 
     * ``enabled`` — master gate.  Off by default: the serial pipeline is
       the reference implementation and the parallel engine must be
-      bit-identical to it (the ablation and the doubled CI run assert
-      this).  The environment variable ``REPRO_PARALLEL`` (``1``/``true``/
-      ``on``) flips the *default* on, which is how CI forces the engine
-      through the whole tier-1 suite;
+      bit-identical to it (the ``parallel.*`` ablations and the doubled
+      CI run check this).  The environment variable ``REPRO_PARALLEL``
+      (``1``/``true``/``on``) flips the *default* on, which is how CI
+      forces the engine through the whole tier-1 suite;
     * ``workers`` — the engine's degree of parallelism; ``0`` means one
       per CPU (``os.cpu_count()``).  ``REPRO_PARALLEL_WORKERS`` overrides
       the default.  An effective worker count of 1 short-circuits to the
@@ -92,22 +92,21 @@ class RmaConfig:
       per-relation order cache (BAT ``tsorted``/``tkey`` bits, memoized sort
       permutations and float views; see :mod:`repro.bat.properties`).
       Immutability makes the caches sound, so this is on by default;
-      ``benchmarks/bench_ablation_properties.py`` measures the ablation.
+      the ``properties.*`` ablations (``benchmarks/ablate.py``) measure it.
       The flag gates the engine-level caches; the BAT-layer short-circuits
       are gated by the module switch in :mod:`repro.bat.properties`, which
-      ablations toggle alongside this flag.
+      the ablations toggle alongside this flag.
     * ``seed_result_orders`` — let ``merge_result`` pre-populate the order
       cache of result relations (identity for sorted results, the input's
       cached order for storage-order results), so chained operations over
-      derived relations skip re-sorting.  On by default; the plan-layer
-      ablation (``benchmarks/bench_ablation_plan.py``) disables it for its
-      baseline.
+      derived relations skip re-sorting.  On by default; the ``plan.*``
+      ablations disable it for their baseline.
     * ``fuse_elementwise`` — let the plan optimizer collapse chains of
       relative-class element-wise operations (``add``/``sub``/``emu`` and
       the scalar variants) into one :class:`~repro.plan.nodes.FusedRma`
       node, executed as a single prepare/align/kernel-program/merge pass
       with all intermediate relations elided.  On by default;
-      ``benchmarks/bench_ablation_fusion.py`` measures the ablation.
+      ``fusion.str_chain`` measures the ablation.
     * ``parallel`` — the morsel-driven parallel engine
       (:class:`ParallelConfig`, see :mod:`repro.engine`): element-wise
       kernel programs, application-part gathers/float casts and
@@ -115,7 +114,7 @@ class RmaConfig:
       pool.  Results are bit-identical to serial execution (a deterministic
       chunk-ordered merge reassembles morsel results).  Off by default;
       the ``REPRO_PARALLEL`` environment variable flips the default on and
-      ``benchmarks/bench_ablation_parallel.py`` measures the ablation.
+      the ``parallel.*`` ablations measure it.
     """
 
     policy: BackendPolicy = field(default_factory=BackendPolicy)

@@ -93,10 +93,10 @@ Module map
 The SQL package (:mod:`repro.sql`) is a thin front end: lexer, parser
 and AST; statements execute on :class:`repro.api.database.Database`.
 
-Ablations: ``benchmarks/bench_ablation_plan.py`` measures CSE +
-warm-order propagation (baseline ``BENCH_plan.json``);
-``benchmarks/bench_ablation_fusion.py`` measures element-wise fusion and
-the session plan cache (baseline ``BENCH_fusion.json``).
+Ablations (``benchmarks/ablate.py``): ``plan.gram_cse`` and
+``plan.add_chain`` measure CSE + warm-order propagation;
+``fusion.str_chain`` element-wise fusion, ``fusion.plan_cache`` the
+session plan cache.
 """
 
 from repro.plan import nodes

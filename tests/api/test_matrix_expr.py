@@ -243,6 +243,12 @@ class TestLazyBridge:
             # The order parts survive too: narrowing still finds "ka".
             assert handle.narrow().by == ("ka",)
 
+    @pytest.mark.parametrize("count, offset", [(-1, 0), (2, -1)])
+    def test_limit_rejects_negative_arguments(self, db, count, offset):
+        m = db.matrix(rel_with_key("k", n=5), by="k")
+        with pytest.raises(PlanError):
+            m.limit(count, offset)
+
     def test_select_keeps_order_schema(self, db):
         m = db.matrix(rel_with_key("k"), by="k")
         out = m.select("k", (col("x") * 2.0).alias("x2"))

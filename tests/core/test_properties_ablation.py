@@ -1,10 +1,8 @@
 """Engine-level ablation equivalence: RMA results must be byte-identical
 with the property/order-cache layer on and off (ISSUE 1 acceptance)."""
 
-import numpy as np
 import pytest
 
-from repro.bat.bat import DataType
 from repro.bat.properties import set_properties_enabled, use_properties
 from repro.core import RmaConfig
 from repro.core.ops import execute_rma
@@ -13,6 +11,8 @@ from repro.errors import KeyViolationError
 from repro.linalg.policy import BackendPolicy
 from repro.relational import rename
 from repro.relational.relation import Relation
+
+from bitwise import identical
 
 
 @pytest.fixture(autouse=True)
@@ -26,17 +26,6 @@ def _config(use_props: bool, validate: bool = True) -> RmaConfig:
     return RmaConfig(policy=BackendPolicy(prefer="bat"),
                      optimize_sorting=True, validate_keys=validate,
                      use_properties=use_props)
-
-
-def _assert_identical(a: Relation, b: Relation) -> None:
-    assert a.names == b.names
-    for name in a.names:
-        ca, cb = a.column(name), b.column(name)
-        assert ca.dtype is cb.dtype
-        if ca.dtype is DataType.DBL:
-            np.testing.assert_array_equal(ca.tail, cb.tail)
-        else:
-            assert list(ca.tail) == list(cb.tail)
 
 
 def _inputs(n_rows: int = 300, n_order: int = 3):
@@ -57,8 +46,8 @@ def test_relative_ops_identical(op):
     with use_properties(False):
         r, by, s, s_by = _inputs()
         off = execute_rma(op, r, by, s, s_by, config=_config(False))
-    _assert_identical(on, off)
-    _assert_identical(on_repeat, off)  # cache hits change nothing
+    assert identical(on, off)
+    assert identical(on_repeat, off)  # cache hits change nothing
 
 
 @pytest.mark.parametrize("op", ["qqr", "rnk", "dsv"])
@@ -70,8 +59,8 @@ def test_unary_ops_identical(op):
     with use_properties(False):
         r, by, _, _ = _inputs(n_rows=120)
         off = execute_rma(op, r, by, config=_config(False))
-    _assert_identical(on, off)
-    _assert_identical(on_repeat, off)
+    assert identical(on, off)
+    assert identical(on_repeat, off)
 
 
 def test_full_sort_op_identical():
@@ -81,7 +70,7 @@ def test_full_sort_op_identical():
     with use_properties(False):
         r, _, _, _ = _inputs(n_rows=40, n_order=1)
         off = execute_rma("tra", r, "k0", config=_config(False))
-    _assert_identical(on, off)
+    assert identical(on, off)
 
 
 def test_key_violation_raised_in_both_modes():

@@ -15,6 +15,13 @@ from repro.errors import (
 from repro.relational import Relation, rename
 
 
+def _int_duplicates() -> Relation:
+    """Ten rows whose INT order attribute is all zeros."""
+    return Relation.from_columns({"id": np.zeros(10, dtype=np.int64),
+                                  "x": np.arange(10, dtype=np.float64),
+                                  "y": np.ones(10)})
+
+
 class TestOrderSchemaValidation:
     def test_unknown_attribute(self, weather):
         with pytest.raises(OrderSchemaError):
@@ -33,6 +40,8 @@ class TestOrderSchemaValidation:
                                      "x": [1.0, 2.0], "y": [3.0, 4.0]})
         with pytest.raises(KeyViolationError):
             inv(rel, by="k")
+        with pytest.raises(KeyViolationError):
+            execute_rma("qqr", _int_duplicates(), "id")
 
     def test_non_key_allowed_when_validation_off(self):
         rel = Relation.from_columns({"k": ["a", "a"],
@@ -40,6 +49,9 @@ class TestOrderSchemaValidation:
         config = RmaConfig(validate_keys=False)
         out = inv(rel, by="k", config=config)
         assert out.nrows == 2
+        # The paper's constraint-trusting mode computes anyway.
+        out = execute_rma("qqr", _int_duplicates(), "id", config=config)
+        assert out.nrows == 10
 
     def test_column_cast_requires_single_attribute(self, weather):
         with pytest.raises(OrderSchemaError):

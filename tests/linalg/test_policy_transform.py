@@ -9,15 +9,21 @@ from repro.opspec import LINEAR_OPS, OPS
 
 
 class TestPolicy:
+    # (50 000, 20) is the shape of the backend scenarios in
+    # benchmarks/ablate.py, whose timings justify these defaults.
+    SHAPES = ((1000, 10), (50_000, 20))
+
     def test_linear_ops_use_bat(self):
         policy = BackendPolicy()
-        for op in LINEAR_OPS:
-            assert policy.choose(op, (1000, 10)).name == "bat", op
+        for shape in self.SHAPES:
+            for op in LINEAR_OPS:
+                assert policy.choose(op, shape).name == "bat", (op, shape)
 
     def test_complex_ops_use_mkl(self):
         policy = BackendPolicy()
-        for op in ("qqr", "inv", "dsv", "mmu", "cpd", "evl"):
-            assert policy.choose(op, (1000, 10)).name == "mkl", op
+        for shape in self.SHAPES:
+            for op in ("qqr", "inv", "dsv", "mmu", "cpd", "evl"):
+                assert policy.choose(op, shape).name == "mkl", (op, shape)
 
     def test_memory_guard_falls_back_to_bat(self):
         policy = BackendPolicy(memory_limit_bytes=1000)
