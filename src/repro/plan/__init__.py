@@ -58,7 +58,9 @@ Module map
       lexicographically sorted composite keys) are marked ``merge`` and
       run without any argsort via
       :func:`repro.relational.joins.merge_join_positions`; runtime
-      precondition re-checks fall back to the hash path.
+      precondition re-checks fall back to the hash path
+      (:func:`repro.relational.joins.join_positions`), a bucket probe
+      over key codes that are sort-free for dense-range INT keys.
     * **Fused execution** — ``FusedRma`` nodes run as one
       prepare/align/kernel-program/merge pass
       (:func:`repro.core.ops.execute_fused`): every leaf aligns into the

@@ -12,7 +12,8 @@ Two layers live here:
   - **join strategy**: equi-joins whose two inputs are already sorted by
     the join key are marked ``merge`` and run without any argsort
     (:func:`repro.relational.joins.merge_join_positions`); everything else
-    stays on the factorize-and-probe hash path;
+    runs the hash path, whose bucket probe codes dense-range INT keys
+    without a sort;
   - **shared subplans** (CSE): structurally identical RMA/subquery
     subtrees are counted; the executor memoizes their result relations so
     a repeated subplan executes once per statement.
@@ -622,7 +623,7 @@ class _PhysicalPlanner:
         # column order.  Derived ordering metadata rarely proves more than
         # a one-column prefix, so fall back to scanning the leaf columns
         # (forced, like the single-key sortedness probe: the O(n·k) scan
-        # is worth it when it can save the factorize/argsort).
+        # is worth it when it can save the key coding and argsort).
         lnames = tuple(l for l, _ in equi)
         rnames = tuple(r for _, r in equi)
         if (self._side_lex_sorted(plan.left, lnames)
@@ -1046,28 +1047,11 @@ class Executor:
                                specs: list[nodes.AggregateSpecNode]) \
             -> Relation:
         """COUNT(DISTINCT x): count unique (group, value) pairs per group."""
-        if key_names:
-            gids = rel_join.factorize(work.bats(key_names))
-        else:
-            gids = np.zeros(work.nrows, dtype=np.int64)
-        uniques, inverse = np.unique(gids, return_inverse=True)
-        ngroups = max(len(uniques), 1)
         for spec in specs:
-            if work.nrows == 0:
-                counts = np.zeros(ngroups, dtype=np.int64)
-            else:
-                values = work.column(f"_arg_{spec.out_name}")
-                value_codes = rel_join.factorize([values])
-                span = int(value_codes.max()) + 1
-                pairs = inverse.astype(np.int64) * span + value_codes
-                pair_gids = np.unique(pairs) // span
-                counts = np.bincount(pair_gids, minlength=ngroups)
-            if not key_names:
-                column = BAT.from_values([int(counts[0])], DataType.INT)
-            else:
-                # grouped rows are in np.unique(gids) order, matching
-                # counts' indexing.
-                column = BAT(DataType.INT, counts.astype(np.int64))
+            counts = rel_aggregate.count_distinct(
+                work, key_names, f"_arg_{spec.out_name}")
+            # counts follow group_by's group order.
+            column = BAT(DataType.INT, counts.astype(np.int64))
             grouped = rel_ops.extend(grouped, spec.out_name, column)
         return grouped
 

@@ -1,7 +1,10 @@
 """Grouped aggregation ϑ.
 
-Groups are identified by factorizing the key columns into dense codes;
-aggregates are computed with segmented numpy reductions (``bincount`` and
+Groups are identified by the key codes joins use
+(:func:`repro.relational.joins.group_ids`): ids, count and first-row
+representatives come from a ``bincount`` of the codes, its ``cumsum`` and
+one stable argsort, so dense-range INT keys group without any sort.
+Aggregates are computed with segmented numpy reductions (``bincount`` and
 friends), never per-row python loops.
 """
 
@@ -14,7 +17,7 @@ import numpy as np
 
 from repro.bat.bat import BAT, DataType
 from repro.errors import PlanError, RelationError
-from repro.relational.joins import factorize
+from repro.relational.joins import group_ids
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 
@@ -45,10 +48,20 @@ def _group_codes(relation: Relation,
     if not keys:
         n = relation.nrows
         return np.zeros(n, dtype=np.int64), np.zeros(1, dtype=np.int64), 1
-    codes = factorize(relation.bats(keys))
-    uniques, first, inverse = np.unique(codes, return_index=True,
-                                        return_inverse=True)
-    return inverse.astype(np.int64), first.astype(np.int64), len(uniques)
+    return group_ids(relation.bats(keys))
+
+
+def count_distinct(relation: Relation, keys: Sequence[str],
+                   argument: str) -> np.ndarray:
+    """COUNT(DISTINCT argument) per group, indexed like :func:`group_by`.
+
+    Grouping by the keys plus the argument yields one group per distinct
+    (key, value) pair; each pair counts once towards the key group of its
+    first row.
+    """
+    gids, _, ngroups = _group_codes(relation, keys)
+    _, pair_first, _ = group_ids(relation.bats([*keys, argument]))
+    return np.bincount(gids[pair_first], minlength=ngroups)
 
 
 def _segmented(func: str, values: np.ndarray, gids: np.ndarray,

@@ -1,36 +1,58 @@
-"""Vectorized equi-joins.
+"""Vectorized equi-joins and the key coding they share with grouping.
 
-The join is the sorted-probe hash-join equivalent used by column stores:
-keys are factorized into dense integer codes, the right side is sorted once,
-and matches are found with two binary searches per left row — all as
-whole-column numpy operations, no per-row python work.
+Keys become int64 codes whose order is the lexicographic key order.
+Nil-free INT-family keys whose value ranges are small next to the row
+count get *dense-range* codes: mixed-radix offsets from each column's
+minimum, computed in O(n) without a sort.  Every other key (DBL, STR,
+nils, wide ranges) is coded through ``np.unique``.
+
+Matching is a bucket probe, as a hash join in a column store: a
+``bincount`` of the right (build) side's codes and its ``cumsum`` give
+every code's range in the right side's stable code order, so each left
+row reads its matches from two table lookups — whole-column numpy
+operations, no per-row python work and no binary search.  A left row
+with a nil in any key column matches nothing, as in SQL.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from repro.bat.bat import BAT, DataType
+from repro.bat.bat import BAT, NIL_INT, DataType
 from repro.bat.properties import properties_enabled
 from repro.errors import RelationError, SchemaError
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
+DENSE_SPAN_FACTOR = 4
+"""Dense-range codes apply while the product of the key columns' spans
+(max - min + 1) is at most this multiple of the row count, which keeps
+the bucket tables O(rows)."""
+
+_INT_FAMILY = (DataType.INT, DataType.DATE, DataType.TIME, DataType.OID)
+"""Key dtypes with int64 tails, eligible for dense-range codes."""
+
 
 def factorize(bats: Sequence[BAT]) -> np.ndarray:
-    """Combine one or more key columns into dense int64 codes.
+    """Combine one or more key columns into non-negative int64 codes.
 
-    Equal rows get equal codes.  Columns are folded pairwise through
-    ``np.unique`` so codes stay dense and cannot overflow.
+    Equal rows get equal codes, and codes order rows lexicographically by
+    key (nil first for INT-family and STR columns, NaN last for DBL).
+    Dense-range keys (:func:`_dense_spans`) get mixed-radix offsets, which
+    may leave gaps; other keys are folded column by column through
+    ``np.unique``, so their codes are consecutive and cannot overflow.
     """
     if not bats:
         raise RelationError("factorize requires at least one column")
+    spans = _dense_spans(bats, len(bats[0]))
+    if spans is not None:
+        return _dense_codes(bats, spans)
     codes: np.ndarray | None = None
     for bat in bats:
-        _, col_codes = np.unique(bat.tail, return_inverse=True)
-        col_codes = col_codes.astype(np.int64)
+        col_codes = _column_codes(bat)
         if codes is None:
             codes = col_codes
         else:
@@ -40,6 +62,104 @@ def factorize(bats: Sequence[BAT]) -> np.ndarray:
             codes = codes.astype(np.int64)
     assert codes is not None
     return codes
+
+
+def _column_codes(bat: BAT) -> np.ndarray:
+    """``np.unique`` codes of one column; a STR nil gets its own code 0."""
+    if bat.dtype is DataType.STR and not bat.tnonil:
+        # None does not compare with str, so np.unique cannot sort it.
+        nil = bat.is_nil()
+        _, inverse = np.unique(bat.tail[~nil], return_inverse=True)
+        codes = np.zeros(len(bat), dtype=np.int64)
+        codes[~nil] = inverse + 1
+        return codes
+    _, inverse = np.unique(bat.tail, return_inverse=True)
+    return inverse.astype(np.int64)
+
+
+def _dense_spans(bats: Sequence[BAT],
+                 nrows: int) -> list[tuple[int, int]] | None:
+    """Per-column ``(min, max)`` when the keys take dense-range codes.
+
+    They do when every column is a non-empty, nil-free INT-family tail and
+    the spans multiply to at most ``DENSE_SPAN_FACTOR * nrows``.  The nil
+    ``NIL_INT`` is the int64 minimum, so a nil shows as the column minimum.
+    """
+    limit = DENSE_SPAN_FACTOR * nrows
+    total = 1
+    bounds = []
+    for bat in bats:
+        if bat.dtype not in _INT_FAMILY or len(bat) == 0:
+            return None
+        lo, hi = int(bat.tail.min()), int(bat.tail.max())
+        total *= hi - lo + 1
+        if lo == NIL_INT or total > limit:
+            return None
+        bounds.append((lo, hi))
+    return bounds
+
+
+def _dense_codes(bats: Sequence[BAT],
+                 bounds: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Mixed-radix offsets of the key columns within ``bounds``.
+
+    Rows outside the bounds get meaningless codes (the int64 arithmetic
+    may wrap); callers must mask them.
+    """
+    codes: np.ndarray | None = None
+    for bat, (lo, hi) in zip(bats, bounds):
+        offset = bat.tail - np.int64(lo)
+        codes = offset if codes is None else codes * (hi - lo + 1) + offset
+    assert codes is not None
+    return codes
+
+
+def _ncodes(codes: np.ndarray) -> int:
+    return int(codes.max()) + 1 if len(codes) else 0
+
+
+def _stable_order(codes: np.ndarray, ncodes: int) -> np.ndarray:
+    """Stable argsort of codes in ``[0, ncodes)``.
+
+    Narrow codes sort as uint8/uint16, for which numpy's stable sort is an
+    O(n) radix sort; the permutation is the same.
+    """
+    for dtype in (np.uint8, np.uint16):
+        if ncodes <= np.iinfo(dtype).max + 1:
+            codes = codes.astype(dtype)
+            break
+    return np.argsort(codes, kind="stable")
+
+
+def group_ids(bats: Sequence[BAT]) -> tuple[np.ndarray, np.ndarray, int]:
+    """(group id per row, first-row position per group, #groups).
+
+    Groups are numbered in key order.  Ids, count and representatives come
+    from a ``bincount`` of the codes, its ``cumsum`` and one stable argsort
+    (a group's first row leads its run in the stable order).
+    """
+    codes = factorize(bats)
+    ncodes = _ncodes(codes)
+    counts = np.bincount(codes, minlength=ncodes)
+    present = counts > 0
+    ids = np.cumsum(present) - 1
+    starts = np.cumsum(counts) - counts
+    first = _stable_order(codes, ncodes)[starts[present]]
+    return ids[codes], first, len(first)
+
+
+def _nil_rows(bats: Sequence[BAT]) -> np.ndarray | None:
+    """Rows with a nil in any column, or None when there are none.
+
+    The cached ``tnonil`` bits make repeated probes of nil-free base
+    columns O(1).
+    """
+    mask = None
+    for bat in bats:
+        if not bat.tnonil:
+            nil = bat.is_nil()
+            mask = nil if mask is None else mask | nil
+    return mask
 
 
 def factorize_pair(left: Sequence[BAT],
@@ -73,22 +193,60 @@ def join_positions(left_keys: Sequence[BAT], right_keys: Sequence[BAT],
     """Matching position pairs (lpos, rpos) for an equi-join.
 
     For ``how="left"`` unmatched left rows appear with rpos ``-1``.
-    Duplicate keys on either side produce the full cross of matches.
+    Duplicate keys on either side produce the full cross of matches:
+    ``lpos`` is non-decreasing, and one left row's matches follow the
+    right side's storage order.  A left row with a nil key matches
+    nothing.
+
+    Same-typed INT-family keys whose right-side spans are dense for the
+    rows of both inputs are coded from those spans, and a left value
+    outside them is a miss; other keys share one :func:`factorize_pair`
+    code space.  Either way :func:`_bucket_probe` finds the matches.
     """
     if how not in ("inner", "left"):
         raise RelationError(f"unsupported join type {how!r}")
-    lcodes, rcodes = factorize_pair(left_keys, right_keys)
+    if len(left_keys) != len(right_keys):
+        raise RelationError("join key lists have different lengths")
+    bounds = None
+    if left_keys and all(lc.dtype is rc.dtype
+                         for lc, rc in zip(left_keys, right_keys)):
+        bounds = _dense_spans(right_keys,
+                              len(left_keys[0]) + len(right_keys[0]))
+    if bounds is not None:
+        rcodes = _dense_codes(right_keys, bounds)
+        ncodes = math.prod(hi - lo + 1 for lo, hi in bounds)
+        lcodes = _dense_codes(left_keys, bounds)
+        miss = np.zeros(len(lcodes), dtype=bool)
+        for bat, (lo, hi) in zip(left_keys, bounds):
+            miss |= (bat.tail < lo) | (bat.tail > hi)
+    else:
+        lcodes, rcodes = factorize_pair(left_keys, right_keys)
+        ncodes = max(_ncodes(lcodes), _ncodes(rcodes))
+        miss = _nil_rows(left_keys)
+    if miss is not None:
+        lcodes = np.where(miss, ncodes, lcodes)
+    return _bucket_probe(lcodes, rcodes, ncodes, how)
+
+
+def _bucket_probe(lcodes: np.ndarray, rcodes: np.ndarray, ncodes: int,
+                  how: str) -> tuple[np.ndarray, np.ndarray]:
+    """Match left codes against right codes, both in ``[0, ncodes)``.
+
+    A left code of ``ncodes`` is a miss.  ``starts[c]`` counts the right
+    rows with a code below ``c``, so the rows with code ``c`` occupy
+    ``[starts[c], starts[c + 1])`` of the right side's stable code order.
+    """
+    starts = np.empty(ncodes + 2, dtype=np.int64)
+    starts[0] = 0
+    np.cumsum(np.bincount(rcodes, minlength=ncodes), out=starts[1:-1])
+    starts[-1] = len(rcodes)
     if properties_enabled() and _codes_sorted(rcodes):
         # Already-sorted right side (dimension tables with dense keys):
         # the identity permutation is the stable argsort.
         order_r = None
-        sorted_r = rcodes
     else:
-        order_r = np.argsort(rcodes, kind="stable")
-        sorted_r = rcodes[order_r]
-    lo = np.searchsorted(sorted_r, lcodes, side="left")
-    hi = np.searchsorted(sorted_r, lcodes, side="right")
-    return _expand_matches(lo, hi, order_r, how)
+        order_r = _stable_order(rcodes, ncodes)
+    return _expand_matches(starts[lcodes], starts[lcodes + 1], order_r, how)
 
 
 MERGE_TYPES = (DataType.INT, DataType.DBL, DataType.DATE, DataType.TIME,
@@ -110,18 +268,18 @@ def merge_join_positions(left_keys: Sequence[BAT],
     for base columns, O(n) once otherwise), or a composite key whose
     columns are lexicographically sorted (one O(n·k) scan,
     :func:`lex_sorted`) — matches come from two binary searches directly on
-    the raw tails, skipping the factorization (which sorts each key column
-    internally via ``np.unique``) and the right-side argsort of the hash
-    path entirely.  Composite keys search over a structured-dtype view of
-    the tails, whose comparison order is exactly the lexicographic order of
-    the columns.
+    the raw tails, skipping the key coding and the right-side argsort of
+    the hash path entirely.  Composite keys search over a structured-dtype
+    view of the tails, whose comparison order is exactly the lexicographic
+    order of the columns.
 
     The output position pairs are identical to :func:`join_positions`:
-    codes are order-isomorphic to raw values column by column, so the group
-    boundaries agree, and the sorted right side makes the stable argsort
-    the identity.  Preconditions are re-verified here at run time; when
-    they do not hold the call falls back to the hash path, so a planner
-    mis-prediction costs nothing but the check.
+    both match exactly the equal keys, and on a sorted right side the
+    stable code order is the storage order.  A left row with an INT-family
+    nil (``NIL_INT``, which sorts first like any value) gets an empty
+    range, as on the hash path.  Preconditions are re-verified here at run
+    time; when they do not hold the call falls back to the hash path, so a
+    planner mis-prediction costs nothing but the check.
 
     STR keys stay on the hash path (nil ordering of object tails is not
     total); DBL qualifies because its ``tsorted`` contract is nil-free and
@@ -142,6 +300,9 @@ def merge_join_positions(left_keys: Sequence[BAT],
             right_tail = _composite_tail(right_keys)
         lo = np.searchsorted(right_tail, left_tail, side="left")
         hi = np.searchsorted(right_tail, left_tail, side="right")
+        nil = _nil_rows(left_keys)
+        if nil is not None:
+            hi = np.where(nil, lo, hi)
         return _expand_matches(lo, hi, None, how)
     return join_positions(left_keys, right_keys, how)
 
@@ -261,10 +422,10 @@ def _expand_matches(lo: np.ndarray, hi: np.ndarray,
 
 
 def _codes_sorted(codes: np.ndarray) -> bool:
-    """Whether the factorized codes are already non-decreasing.
+    """Whether the key codes are already non-decreasing.
 
     Decided by one O(n) scan of the codes themselves — cheaper than the
-    O(n log n) argsort it can save.  The key BATs' cached ``tsorted`` bits
+    argsort it can save.  The key BATs' cached ``tsorted`` bits
     are deliberately NOT consulted: :func:`factorize_pair` may cast mixed
     INT/DBL keys to DBL, which moves the INT nil sentinel from the smallest
     raw value to NaN, so pre-cast sortedness does not imply sorted codes.

@@ -280,6 +280,21 @@ class TestLazyBridge:
         assert out.nrows == 6
         assert out.names == ["k", "x", "y", "key", "label"]
 
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    def test_join_null_keys_match_nothing(self, db, how):
+        m = db.matrix(Relation.from_columns(
+            {"k": ["a", "b", "c"], "j": [1, None, 2],
+             "x": [1.0, 2.0, 3.0]}), by="k", name="m")
+        labels = Relation.from_columns({"j2": [None, 2, 5],
+                                        "label": ["n", "two", "five"]})
+        out = m.join(labels, on=col("j", "m") == col("j2"),
+                     how=how).collect()
+        rows = [(r[0], r[-1]) for r in out.to_rows()]
+        if how == "inner":
+            assert rows == [("c", "two")]
+        else:
+            assert rows == [("a", None), ("b", None), ("c", "two")]
+
     def test_join_rejects_foreign_database(self, db):
         m = db.matrix(rel_with_key("k"), by="k")
         other = repro.connect().matrix(rel_with_key("k"), by="k")

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bat.bat import BAT
+from repro.bat.bat import BAT, DataType
 from repro.errors import RelationError, SchemaError
-from repro.relational import Relation, join
-from repro.relational.joins import factorize, factorize_pair, join_positions
+from repro.relational import AggregateSpec, Relation, group_by, join
+from repro.relational.joins import (factorize, factorize_pair,
+                                    join_positions, merge_join_positions)
 
 
 class TestFactorize:
@@ -130,3 +131,60 @@ class TestJoinRelation:
         out = join(users, ratings, ["User"], ["User"],
                    drop_right_keys=True)
         assert out.nrows == 3
+
+
+class TestNilKeys:
+    """A nil key matches nothing: INNER drops the row, LEFT keeps it once
+    with NULL right columns."""
+
+    @pytest.mark.parametrize("dtype", [DataType.INT, DataType.DBL,
+                                       DataType.STR])
+    def test_eager_join(self, dtype):
+        values = {DataType.INT: ([1, None, 2], [None, 2, 5]),
+                  DataType.DBL: ([1.0, None, 2.0], [None, 2.0, 5.0]),
+                  DataType.STR: (["a", None, "b"], [None, "b", "e"])}
+        lk, rk = values[dtype]
+        left = Relation.from_columns({"k": BAT.from_values(lk, dtype),
+                                      "x": [1.0, 2.0, 3.0]})
+        right = Relation.from_columns({"k2": BAT.from_values(rk, dtype),
+                                       "y": [10.0, 20.0, 30.0]})
+        inner = join(left, right, ["k"], ["k2"])
+        assert inner.to_rows() == [(lk[2], 3.0, rk[1], 20.0)]
+        outer = join(left, right, ["k"], ["k2"], how="left")
+        assert outer.to_rows() == [(lk[0], 1.0, None, None),
+                                   (None, 2.0, None, None),
+                                   (lk[2], 3.0, rk[1], 20.0)]
+
+    def test_composite_key_with_one_nil_column(self):
+        left = [BAT.from_values([1, 1]), BAT.from_values([None, 7])]
+        right = [BAT.from_values([1, 1]), BAT.from_values([None, 7])]
+        lpos, rpos = join_positions(left, right, how="left")
+        assert lpos.tolist() == [0, 1] and rpos.tolist() == [-1, 1]
+
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    def test_merge_path_agrees(self, how):
+        # INT nil sorts first, so both sides are sorted and the merge
+        # path runs; it must drop the nil match like the hash path.
+        left = [BAT.from_values([None, 1, 2], DataType.INT)]
+        right = [BAT.from_values([None, None, 2], DataType.INT)]
+        assert left[0].tsorted and right[0].tsorted
+        merged = merge_join_positions(left, right, how)
+        hashed = join_positions(left, right, how)
+        assert merged[0].tolist() == hashed[0].tolist()
+        assert merged[1].tolist() == hashed[1].tolist()
+        expected = ([0, 1, 2], [-1, -1, 2]) if how == "left" else ([2], [2])
+        assert (merged[0].tolist(), merged[1].tolist()) == expected
+
+
+class TestStrNilKeys:
+    def test_factorize_orders_nil_first(self):
+        codes = factorize([BAT.from_values(["b", None, "a", None])])
+        assert codes.tolist() == [2, 0, 1, 0]
+
+    def test_group_by_yields_one_null_group(self):
+        rel = Relation.from_columns(
+            {"s": BAT.from_values(["a", None, "b", None, "a"],
+                                  DataType.STR),
+             "v": [1.0, 2.0, 3.0, 4.0, 5.0]})
+        out = group_by(rel, ["s"], [AggregateSpec("sum", "v", "total")])
+        assert out.to_rows() == [(None, 6.0), ("a", 6.0), ("b", 3.0)]

@@ -119,6 +119,34 @@ class TestJoins:
             "ON a.State = b.State WHERE a.User <> b.User")
         assert sorted(out.to_rows()) == [("Ann", "Jan"), ("Jan", "Ann")]
 
+    @pytest.mark.parametrize("lk, rk", [
+        ([1, None, 2], [None, 2, 5]),
+        ([1.0, None, 2.0], [None, 2.0, 5.0]),
+        (["a", None, "b"], [None, "b", "e"])])
+    def test_null_keys_match_nothing(self, lk, rk):
+        db = connect()
+        db.register("l", Relation.from_columns({"k": lk, "x": [1, 2, 3]}))
+        db.register("r", Relation.from_columns({"k2": rk,
+                                                "y": [10, 20, 30]}))
+        inner = db.execute("SELECT k, x, y FROM l JOIN r ON l.k = r.k2")
+        assert inner.to_rows() == [(lk[2], 3, 20)]
+        outer = db.execute(
+            "SELECT k, x, y FROM l LEFT JOIN r ON l.k = r.k2")
+        assert outer.to_rows() == [(lk[0], 1, None), (None, 2, None),
+                                   (lk[2], 3, 20)]
+
+    def test_null_keys_on_the_merge_path(self):
+        # Both key columns are sorted (INT nil sorts first), so the
+        # planner picks the merge join.
+        db = connect()
+        db.register("l", Relation.from_columns(
+            {"k": [None, 1, 2], "x": [1, 2, 3]}))
+        db.register("r", Relation.from_columns(
+            {"k2": [None, 2, 5], "y": [10, 20, 30]}))
+        sql = "SELECT k, x, y FROM l JOIN r ON l.k = r.k2"
+        assert "merge" in db.explain(sql)
+        assert db.execute(sql).to_rows() == [(2, 3, 20)]
+
     def test_ambiguous_column_rejected(self, session):
         with pytest.raises(BindError):
             session.execute(
@@ -170,6 +198,22 @@ class TestAggregation:
     def test_having_without_group_rejected(self, session):
         with pytest.raises(PlanError):
             session.execute("SELECT User FROM u HAVING User > 'A'")
+
+
+    def test_group_by_str_with_null(self):
+        db = connect()
+        db.register("t", Relation.from_columns(
+            {"s": ["a", None, "b", None, "a"], "v": [1, 2, 3, 4, 5]}))
+        out = db.execute("SELECT s, COUNT(*) AS n, SUM(v) AS total "
+                         "FROM t GROUP BY s")
+        assert out.to_rows() == [(None, 2, 6), ("a", 2, 6), ("b", 1, 3)]
+
+    def test_count_distinct_grouped_over_no_rows(self):
+        db = connect()
+        db.register("t", Relation.from_columns({"g": [1, 2], "v": [3, 4]}))
+        out = db.execute("SELECT g, COUNT(DISTINCT v) AS n FROM t "
+                         "WHERE g > 5 GROUP BY g")
+        assert out.nrows == 0
 
 
 class TestOrderingAndLimits:
